@@ -89,9 +89,11 @@ void BM_StaFullRun(benchmark::State& state) {
 }
 BENCHMARK(BM_StaFullRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Levelized parallel full run at 1/2/4/8 threads on the bench design
-// (parallel_min_nodes forced to 0 so even the Arg(1) row goes through
-// the same dispatch). Results are bit-identical to BM_StaFullRun's.
+// Levelized full run at 1/2/4/8 threads on the bench design. Every row
+// walks the same CSR level schedule; Arg(1) runs it inline on the
+// caller, exactly like BM_StaFullRun (threads == 1 never consults the
+// size floor, which is forced to 0 so the other rows really fan out).
+// Results are bit-identical to BM_StaFullRun's.
 void BM_StaParallelForward(benchmark::State& state) {
   const TimingGraph& g = flat_graph();
   Sta::Options opt;

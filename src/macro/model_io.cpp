@@ -1,5 +1,6 @@
 #include "macro/model_io.hpp"
 
+#include <array>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -131,6 +132,50 @@ std::size_t macro_model_size_bytes(const MacroModel& model) {
   return write_macro_model(model, os);
 }
 
+fault::Status bind_port_ordinals(TimingGraph& g) {
+  const std::size_t n = g.num_nodes();
+  // [0] PIs, [1] POs. Checked before any set_primary_* call: those
+  // resize the port table to ordinal + 1, so an unchecked ordinal is an
+  // allocation of up to 2^32 entries (or a wrap to zero at UINT32_MAX).
+  std::array<std::vector<char>, 2> seen{std::vector<char>(n, 0),
+                                        std::vector<char>(n, 0)};
+  std::array<std::size_t, 2> count{};
+  constexpr std::array<const char*, 2> kDir{"PI", "PO"};
+  auto bad = [](std::string msg) {
+    return fault::Status::failure(fault::ErrorCode::kParse, std::move(msg));
+  };
+  for (NodeId v = 0; v < n; ++v) {
+    const GraphNode& node = g.node(v);
+    if (node.role == NodeRole::kInternal) continue;
+    const std::size_t d = node.role == NodeRole::kPrimaryOutput ? 1 : 0;
+    const std::uint32_t k = node.port_ordinal;
+    if (k >= n)
+      return bad(std::string(kDir[d]) + " ordinal " + std::to_string(k) +
+                 " of node '" + node.name + "' is not below the node count " +
+                 std::to_string(n));
+    if (seen[d][k])
+      return bad("duplicate " + std::string(kDir[d]) + " ordinal " +
+                 std::to_string(k) + " at node '" + node.name + "'");
+    seen[d][k] = 1;
+    ++count[d];
+  }
+  for (std::size_t d = 0; d < 2; ++d)
+    for (std::size_t k = 0; k < count[d]; ++k)
+      if (!seen[d][k])
+        return bad(std::string(kDir[d]) + " ordinals skip " +
+                   std::to_string(k) + " (" + std::to_string(count[d]) +
+                   " ports declared, ordinals must be 0.." +
+                   std::to_string(count[d] - 1) + ")");
+  for (NodeId v = 0; v < n; ++v) {
+    const GraphNode& node = g.node(v);
+    if (node.role == NodeRole::kPrimaryInput)
+      g.set_primary_input(v, node.port_ordinal, node.is_clock_root);
+    else if (node.role == NodeRole::kPrimaryOutput)
+      g.set_primary_output(v, node.port_ordinal);
+  }
+  return {};
+}
+
 MacroModel read_macro_model(std::istream& is, std::string source) {
   fault::inject("macro.read");
   TokenReader tr(is, std::move(source));
@@ -162,15 +207,10 @@ MacroModel read_macro_model(std::istream& is, std::string source) {
     node.is_ff_data = (flags & 8u) != 0;
     node.attached_po_loads.resize(npo);
     for (auto& po : node.attached_po_loads) po = tr.u32("attached PO ordinal");
-    const std::uint32_t ordinal = node.port_ordinal;
-    const NodeRole r = node.role;
-    const bool clock_root = node.is_clock_root;
-    const NodeId id = g.add_node(std::move(node));
-    if (r == NodeRole::kPrimaryInput)
-      g.set_primary_input(id, ordinal, clock_root);
-    else if (r == NodeRole::kPrimaryOutput)
-      g.set_primary_output(id, ordinal);
+    g.add_node(std::move(node));
   }
+  if (const fault::Status st = bind_port_ordinals(g); !st.ok())
+    tr.fail(st.message());
 
   auto node_ref = [&](const char* what) {
     const std::size_t id = tr.size(what);

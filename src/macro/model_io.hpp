@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "fault/fault.hpp"
 #include "macro/macro_model.hpp"
 
 namespace tmm {
@@ -26,6 +27,14 @@ MacroModel read_macro_model(std::istream& is, std::string source = "<macro>");
 
 /// read_macro_model from a file, with the path as error context.
 MacroModel read_macro_model_file(const std::string& path);
+
+/// Register the boundary ports that a deserialized graph's nodes declare
+/// (role + port_ordinal) via set_primary_input/set_primary_output. The
+/// PI ordinals and the PO ordinals must each be exactly 0..k-1: an
+/// ordinal at or above the node count, a duplicate or a gap fails with
+/// kParse and nothing is registered. Shared by the .macro and .tmb
+/// readers, which wrap the message in their own source context.
+fault::Status bind_port_ordinals(TimingGraph& g);
 
 /// Atomic write to `path` (util::atomic_write_file): interrupted runs
 /// never leave a torn model file. Returns bytes written.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "macro/model_io.hpp"
 #include "util/atomic_io.hpp"
 
 namespace tmm::serve {
@@ -461,15 +462,10 @@ MacroModel unpack_model(const std::string& image, const std::string& source) {
     node.is_ff_data = (rec.flags & kFlagFfData) != 0;
     node.attached_po_loads.assign(po_loads.begin() + rec.po_off,
                                   po_loads.begin() + rec.po_off + rec.po_cnt);
-    const NodeRole role = node.role;
-    const bool clock_root = node.is_clock_root;
-    const std::uint32_t ordinal = node.port_ordinal;
-    const NodeId id = g.add_node(std::move(node));
-    if (role == NodeRole::kPrimaryInput)
-      g.set_primary_input(id, ordinal, clock_root);
-    else if (role == NodeRole::kPrimaryOutput)
-      g.set_primary_output(id, ordinal);
+    g.add_node(std::move(node));
   }
+  if (const fault::Status st = bind_port_ordinals(g); !st.ok())
+    r.fail(st.message());
 
   for (const ArcRec& rec : arc_recs) {
     if (static_cast<GraphArcKind>(rec.kind) == GraphArcKind::kWire) {

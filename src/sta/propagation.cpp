@@ -36,6 +36,20 @@ constexpr std::size_t kLevelGrain = 16;
 /// relaxations when CPPR walks clock chains, so chunk fewer of them.
 constexpr std::size_t kCheckGrain = 8;
 
+/// Run body(begin, end) over [0, n). With par == 1 the whole range runs
+/// inline on the caller and the shared pool is never touched, so
+/// single-threaded processes (serve, the default CLI) start no pool
+/// workers; otherwise the range is chunked over the shared pool, whose
+/// parallel_for returns only after every chunk ran (the level barrier).
+template <typename Fn>
+void for_chunks(std::size_t n, std::size_t grain, std::size_t par, Fn&& body) {
+  if (par == 1) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  util::TaskPool::shared().parallel_for(n, grain, par, body);
+}
+
 // Metric handles resolved once at namespace scope: the TS loop runs the
 // engine once per pin per constraint set, and the registry name lookup
 // plus the guard check of a function-local static are measurable there.
@@ -130,15 +144,11 @@ void Sta::run(const BoundaryConstraints& bc) {
   if (par > 1) {
     g_parallel_runs.add();
     span.set_arg("threads", static_cast<double>(par));
-    ensure_topology();
-    forward_parallel(bc, par);
-    seed_backward_parallel(bc, par);
-    backward_parallel(par);
-  } else {
-    forward(bc);
-    seed_backward(bc);
-    backward();
   }
+  ensure_topology();
+  forward(bc, par);
+  seed_backward(bc, par);
+  backward(par);
   check_numeric();
 }
 
@@ -166,26 +176,17 @@ void Sta::check_numeric() const {
   for (NodeId u : graph_->primary_outputs()) scan(u);
 }
 
-void Sta::forward(const BoundaryConstraints& bc) {
-  for (NodeId v : graph_->topo_order()) {
-    if (graph_->node(v).dead) continue;
-    relax_forward_node(v, bc);
-  }
-}
-
-void Sta::forward_parallel(const BoundaryConstraints& bc, std::size_t par) {
+void Sta::forward(const BoundaryConstraints& bc, std::size_t par) {
   // Levels ascend: every fanin of a level-L node lives strictly below
   // L, so all values a relaxation reads are finalized before its level
-  // starts. parallel_for is the between-levels barrier.
-  util::TaskPool& pool = util::TaskPool::shared();
+  // starts.
   for (std::size_t l = 0; l < topo_.num_levels(); ++l) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    pool.parallel_for(nodes.size(), kLevelGrain, par,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i)
-                          relax_forward_node(nodes[i], bc,
-                                             topo_.fanin(nodes[i]));
-                      });
+    for_chunks(nodes.size(), kLevelGrain, par,
+               [&](std::size_t b, std::size_t e) {
+                 for (std::size_t i = b; i < e; ++i)
+                   relax_forward_node(nodes[i], bc, topo_.fanin(nodes[i]));
+               });
   }
 }
 
@@ -335,7 +336,7 @@ void Sta::apply_check_seed(const CheckArc& c, const BoundaryConstraints& bc) {
         store_.rat[idx(c.data, kLate, rf)] = cand;
       // Capture-side requirement on the clock pin: the capture edge
       // must not arrive so early that the data misses setup. Writes a
-      // *clock* pin, which is why clock_rat mode seeds serially.
+      // *clock* pin, which is why clock_rat mode seeds on one thread.
       if (opt_.clock_rat) {
         const double d_at = store_.at[idx(c.data, kLate, rf)];
         if (std::isfinite(d_at)) {
@@ -369,7 +370,7 @@ void Sta::apply_check_seed(const CheckArc& c, const BoundaryConstraints& bc) {
   }
 }
 
-void Sta::seed_backward(const BoundaryConstraints& bc) {
+void Sta::seed_backward(const BoundaryConstraints& bc, std::size_t par) {
   const auto& pos = graph_->primary_outputs();
   for (std::uint32_t i = 0; i < pos.size(); ++i) {
     if (pos[i] == kInvalidId || i >= bc.po.size()) continue;
@@ -379,45 +380,21 @@ void Sta::seed_backward(const BoundaryConstraints& bc) {
     }
   }
 
-  for (const CheckArc& c : graph_->checks()) {
-    if (c.dead) continue;
-    apply_check_seed(c, bc);
-  }
-}
-
-void Sta::seed_backward_parallel(const BoundaryConstraints& bc,
-                                 std::size_t par) {
-  const auto& pos = graph_->primary_outputs();
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    if (pos[i] == kInvalidId || i >= bc.po.size()) continue;
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      store_.rat[idx(pos[i], kLate, rf)] = bc.po[i].rat(kLate, rf);
-      store_.rat[idx(pos[i], kEarly, rf)] = bc.po[i].rat(kEarly, rf);
-    }
-  }
-
-  if (opt_.clock_rat) {
-    // Capture-side clock requirements write clock pins shared across
-    // checks — keep the serial check-id order.
-    for (const CheckArc& c : graph_->checks()) {
-      if (c.dead) continue;
-      apply_check_seed(c, bc);
-    }
-    return;
-  }
   // One task per data pin: a pin's checks are applied by one thread in
-  // ascending check-id order (the serial order restricted to that pin),
-  // and a check writes only its data pin's rat/credit lanes — so the
-  // per-pin update sequences, and therefore the results, match the
-  // serial pass exactly. Reads (clock slew/at, pred chains) are
-  // finalized forward-pass state.
-  util::TaskPool::shared().parallel_for(
-      topo_.check_pins.size(), kCheckGrain, par,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          for (std::uint32_t cid : topo_.checks_of_pin(i))
-            apply_check_seed(graph_->check(cid), bc);
-      });
+  // ascending check-id order, and a check writes only its data pin's
+  // credit (assigned, so per-pin order matters and is kept) and rat
+  // lanes (min/max, order-free) — so results do not depend on how pins
+  // are chunked. Reads (clock slew/at, pred chains) are finalized
+  // forward-pass state. In clock_rat mode a check also tightens its
+  // clock pin's rat, which checks of other data pins share: that still
+  // is an order-free min/max, but concurrent writes would race, so the
+  // walk runs on one thread.
+  for_chunks(topo_.check_pins.size(), kCheckGrain, opt_.clock_rat ? 1 : par,
+             [&](std::size_t b, std::size_t e) {
+               for (std::size_t i = b; i < e; ++i)
+                 for (std::uint32_t cid : topo_.checks_of_pin(i))
+                   apply_check_seed(graph_->check(cid), bc);
+             });
 }
 
 void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
@@ -465,33 +442,21 @@ void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
   }
 }
 
-void Sta::backward() {
-  const auto& order = graph_->topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (graph_->node(u).dead) continue;
-    if (!opt_.clock_rat && graph_->node(u).in_clock_network) continue;
-    relax_backward_arcs(u);
-  }
-}
-
-void Sta::backward_parallel(std::size_t par) {
+void Sta::backward(std::size_t par) {
   // Levels descend: a node's fanout targets live in strictly higher
   // levels, already finalized. relax_backward_arcs writes only u's own
   // rat lanes, so nodes within a level are independent.
-  util::TaskPool& pool = util::TaskPool::shared();
   for (std::size_t l = topo_.num_levels(); l-- > 0;) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    pool.parallel_for(nodes.size(), kLevelGrain, par,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i) {
-                          const NodeId u = nodes[i];
-                          if (!opt_.clock_rat &&
-                              graph_->node(u).in_clock_network)
-                            continue;
-                          relax_backward_arcs(u, topo_.fanout(u));
-                        }
-                      });
+    for_chunks(nodes.size(), kLevelGrain, par,
+               [&](std::size_t b, std::size_t e) {
+                 for (std::size_t i = b; i < e; ++i) {
+                   const NodeId u = nodes[i];
+                   if (!opt_.clock_rat && graph_->node(u).in_clock_network)
+                     continue;
+                   relax_backward_arcs(u, topo_.fanout(u));
+                 }
+               });
   }
 }
 
@@ -521,10 +486,14 @@ void Sta::set_reference() {
   ref_preds_ = preds_;
   ref_credits_ = credits_;
   const std::size_t n = graph_->num_nodes();
+  // The concatenated levels are a topological order of the live nodes.
+  // Deltas only kill nodes/arcs and add arcs between nodes the graph
+  // already connects by a path (TimingGraph's delta contract), so this
+  // order stays a valid worklist priority in every delta state.
+  ensure_topology();
   topo_pos_.assign(n, 0);
-  const auto& order = graph_->topo_order();
-  for (std::size_t i = 0; i < order.size(); ++i)
-    topo_pos_[order[i]] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < topo_.level_nodes.size(); ++i)
+    topo_pos_[topo_.level_nodes[i]] = static_cast<std::uint32_t>(i);
   is_modified_.assign(n, 0);
   is_changed_.assign(n, 0);
   value_changed_.assign(n, 0);

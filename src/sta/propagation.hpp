@@ -11,14 +11,16 @@
 // The same engine analyzes flat designs, ILMs and macro models, which is
 // what makes macro accuracy evaluation (Fig. 2) a pure snapshot diff.
 //
-// Timing state lives in a structure-of-arrays store (sta/timing_store.hpp)
-// and full passes can run levelized-parallel over a worker pool
-// (Options::threads, sta/topology.hpp): each topological level's nodes
-// are relaxed concurrently with a barrier between levels. Because every
-// relaxation is gather-form over finalized fanin (resp. fanout) values
-// and visits arcs in ascending arc-id order, parallel results are
-// bit-identical to the serial reference — no reduction-order tie-break
-// exists to document away (docs/PERFORMANCE.md).
+// Timing state lives in a structure-of-arrays store (sta/timing_store.hpp).
+// Every full pass walks the cached CSR level schedule (sta/topology.hpp)
+// one topological level at a time: with one thread (the default) the
+// levels run inline on the caller, with more (Options::threads) each
+// level's nodes are relaxed concurrently over a worker pool with a
+// barrier between levels. Because every relaxation is gather-form over
+// finalized fanin (resp. fanout) values and visits arcs in ascending
+// arc-id order, results are bit-identical at any thread count — no
+// reduction-order tie-break exists to document away
+// (docs/PERFORMANCE.md).
 
 #include <limits>
 #include <span>
@@ -90,12 +92,12 @@ class Sta {
     /// labels or macro models silently. O(ports) per run.
     bool check_numeric = true;
     /// Threads for the full forward/backward passes of run(): 1 =
-    /// serial (default), 0 = auto (TMM_THREADS when set, else hardware
-    /// concurrency), N = at most N. Parallel runs are bit-identical to
-    /// serial ones; run_incremental is always serial (its worklist is
-    /// tiny by construction).
+    /// inline on the caller (default), 0 = auto (TMM_THREADS when set,
+    /// else hardware concurrency), N = at most N. Results are
+    /// bit-identical at every thread count; run_incremental is always
+    /// single-threaded (its worklist is tiny by construction).
     std::size_t threads = 1;
-    /// Graphs with fewer nodes than this always run serially — pool
+    /// Graphs with fewer nodes than this always run on one thread — pool
     /// dispatch costs more than it buys on macro-sized graphs (the
     /// serve::Evaluator scratch engines rely on this fallback).
     std::size_t parallel_min_nodes = 2048;
@@ -109,8 +111,8 @@ class Sta {
 
   /// Checkpoint the current analysis state (values, predecessors, CPPR
   /// credits) as the reference that run_incremental restores to and
-  /// converges against. Call after a full run(); the graph's cached
-  /// topological order is captured as the worklist priority, so the
+  /// converges against. Call after a full run(); the level order of the
+  /// cached CSR schedule is captured as the worklist priority, so the
   /// graph must only be mutated through the delta_* API afterwards.
   void set_reference();
   bool has_reference() const noexcept { return has_reference_; }
@@ -189,17 +191,15 @@ class Sta {
     std::uint8_t from_rf = 0;
   };
 
-  void forward(const BoundaryConstraints& bc);
+  /// The full passes of run(): gather-form relaxations over the cached
+  /// CSR level schedule, `par` threads per level (1 = inline on the
+  /// caller, never touching the shared pool; results do not depend on
+  /// `par`). seed_backward applies PO constraints and check seeds.
+  void forward(const BoundaryConstraints& bc, std::size_t par);
+  void seed_backward(const BoundaryConstraints& bc, std::size_t par);
+  void backward(std::size_t par);
   /// Boundary NaN scan (Options::check_numeric); throws FlowError.
   void check_numeric() const;
-  void seed_backward(const BoundaryConstraints& bc);
-  void backward();
-  /// Level-parallel counterparts of forward/seed_backward/backward,
-  /// executing the same gather-form relaxations over the cached CSR
-  /// topology with `par`-way parallelism (bit-identical results).
-  void forward_parallel(const BoundaryConstraints& bc, std::size_t par);
-  void seed_backward_parallel(const BoundaryConstraints& bc, std::size_t par);
-  void backward_parallel(std::size_t par);
   /// Threads the full passes of this run() should use: Options::threads
   /// resolved against TMM_THREADS / hardware and the tiny-graph floor.
   std::size_t resolve_parallelism() const;
@@ -211,10 +211,10 @@ class Sta {
   /// ascending arc-id order, so tie-breaks do not depend on which
   /// topological order drives the sweep — the property that makes
   /// incremental re-relaxation (and level-parallel execution)
-  /// bit-identical to a full serial run. The span overload is the one
-  /// implementation; serial and incremental callers pass the graph's
-  /// adjacency, the parallel pass passes the CSR view (same content,
-  /// same order).
+  /// bit-identical to a full run. The span overload is the one
+  /// implementation; the full passes hand it the CSR view, and
+  /// run_incremental the graph's adjacency (same content, same order),
+  /// because a delta leaves the CSR stale mid-analysis.
   void relax_forward_node(NodeId v, const BoundaryConstraints& bc,
                           std::span<const ArcId> fanin);
   void relax_forward_node(NodeId v, const BoundaryConstraints& bc) {
@@ -249,8 +249,8 @@ class Sta {
   std::vector<double> eff_load_;
   std::vector<double> credits_;  ///< endpoint credits, same indexing as preds_
 
-  // CSR adjacency + level schedule for the parallel passes, cached
-  // against the graph's structure version (see ensure_topology).
+  // CSR adjacency + level schedule for the full passes, cached against
+  // the graph's structure version (see ensure_topology).
   StaTopology topo_;
   bool topo_valid_ = false;
 
@@ -259,7 +259,7 @@ class Sta {
   TimingStore ref_store_;
   std::vector<Pred> ref_preds_;
   std::vector<double> ref_credits_;
-  std::vector<std::uint32_t> topo_pos_;  ///< node -> cached topo position
+  std::vector<std::uint32_t> topo_pos_;  ///< node -> level-order position
   std::vector<NodeId> modified_;  ///< entries diverged from the reference
   std::vector<char> is_modified_;
   std::vector<NodeId> changed_;  ///< value or pred differs this run (F')

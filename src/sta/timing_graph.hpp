@@ -113,10 +113,11 @@ class TimingGraph {
   // the caches in place instead, under a contract the caller (see
   // macro/merge.hpp MergeDelta) must uphold:
   //   - caches must be materialized first (call topo_order() once);
-  //   - an added arc must connect live nodes u -> v with u preceding v
-  //     in the cached topological order (true for merge splices, whose
-  //     endpoints were already ordered through the removed pin), so the
-  //     cached order stays a valid order of the mutated graph;
+  //   - an added arc must connect live nodes u -> v that the graph
+  //     already connects by a path (true for merge splices, whose
+  //     endpoints were joined through the removed pin), so every
+  //     topological order of the graph before the delta — the cached
+  //     one and Sta's level order alike — stays valid after it;
   //   - a node marked dead via delta_set_node_dead stays in the cached
   //     topological order; consumers must skip dead nodes (Sta does).
   // Adjacency lists keep their ascending-arc-id order across kill /

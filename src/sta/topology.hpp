@@ -1,13 +1,13 @@
 #pragma once
-// Data-oriented view of a TimingGraph for the parallel STA passes
-// (docs/PERFORMANCE.md, "Parallel levelized propagation").
+// Data-oriented view of a TimingGraph that every full STA pass walks,
+// at any thread count (docs/PERFORMANCE.md, "Levelized propagation").
 //
 // StaTopology flattens the graph's per-node adjacency vectors into CSR
 // arrays (one offsets array + one contiguous arc-id array per
 // direction, ascending arc id within each node — the same visitation
-// order as TimingGraph::fanin/fanout, which is what keeps parallel
-// relaxation bit-identical to the serial sweep) and groups live nodes
-// into topological levels:
+// order as TimingGraph::fanin/fanout, which is what keeps full runs
+// bit-identical to incremental re-relaxation over the graph's own
+// adjacency) and groups live nodes into topological levels:
 //
 //   level(v) = 0                          for nodes with no live fanin
 //   level(v) = 1 + max over live arcs u->v of level(u)
@@ -17,7 +17,8 @@
 // levels reads only finalized values — no tie-break is ever exercised.
 // Within a level, level_nodes is ascending by node id (deterministic
 // chunking; writes are per-node so order within a level is irrelevant
-// to results).
+// to results). Read front to back, level_nodes is a topological order
+// of the live nodes; Sta's incremental worklist uses it as its priority.
 //
 // check_pins/check_ids group live check arcs by data pin (ascending
 // check id per pin, matching TimingGraph::checks_of) so check seeding

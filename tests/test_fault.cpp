@@ -244,8 +244,9 @@ TEST(Corpus, DesignsFailWithStructuredParseErrors) {
 TEST(Corpus, MacrosFailWithStructuredParseErrors) {
   const fs::path corpus(TMM_TEST_CORPUS_DIR);
   for (const char* f :
-       {"truncated.macro", "bad_header.macro", "nan.macro",
-        "bad_role.macro"}) {
+       {"truncated.macro", "bad_header.macro", "nan.macro", "bad_role.macro",
+        "huge_ordinal.macro", "big_ordinal.macro", "dup_ordinal.macro",
+        "gap_ordinal.macro"}) {
     const std::string path = (corpus / f).string();
     try {
       static_cast<void>(read_macro_model_file(path));

@@ -7,8 +7,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "analysis/serve_lint.hpp"
+#include "fault/fault.hpp"
 #include "macro/baselines.hpp"
 #include "serve/tmb.hpp"
 #include "sta/timing_graph.hpp"
@@ -60,21 +62,69 @@ void restamp_crc(std::string& image) {
   std::memcpy(image.data() + 16, &crc, sizeof crc);
 }
 
+/// Byte offset of the payload's record counts (format v1), just past
+/// the length-prefixed design name.
+std::size_t counts_offset(const std::string& image) {
+  return serve::kTmbHeaderBytes + 4 + read_u32(image, serve::kTmbHeaderBytes);
+}
+
+/// Byte offset of node record `i` (format v1).
+std::size_t node_offset(const std::string& image, std::size_t i) {
+  // Six u32 counts + u64 arena length, then 40-byte node records.
+  return counts_offset(image) + 32 + i * 40ull;
+}
+
 /// Byte offset of LUT record `i` in the table section (format v1).
 std::size_t tab_offset(const std::string& image, std::size_t i) {
-  std::size_t off = serve::kTmbHeaderBytes;
-  const std::uint32_t name_len = read_u32(image, off);
-  off += 4 + name_len;
-  const std::uint32_t nn = read_u32(image, off);
-  const std::uint32_t na = read_u32(image, off + 4);
-  const std::uint32_t nc = read_u32(image, off + 8);
-  const std::uint32_t npo = read_u32(image, off + 12);
-  off += 28;                  // six u32 counts + u64 arena length
-  off += nn * 40ull;          // node records
+  const std::size_t counts = counts_offset(image);
+  const std::uint32_t nn = read_u32(image, counts);
+  const std::uint32_t na = read_u32(image, counts + 4);
+  const std::uint32_t nc = read_u32(image, counts + 8);
+  const std::uint32_t npo = read_u32(image, counts + 12);
+  std::size_t off = node_offset(image, nn);  // past the node records
   off += npo * 4ull;          // attached-PO ordinals
   off += na * 36ull;          // arc records
   off += nc * 16ull;          // check records
   return off + i * 16ull;     // LutRec = u32 + u32 + u64
+}
+
+TEST(ServeLint, BadPortOrdinalsAreParseErrors) {
+  const std::string clean = serve::pack_model(make_model("ordinal"));
+  const std::uint32_t nn = read_u32(clean, counts_offset(clean));
+  // Node records: role at +8, port ordinal at +16.
+  std::vector<std::size_t> pis, pos;
+  for (std::size_t i = 0; i < nn; ++i) {
+    const std::uint32_t role = read_u32(clean, node_offset(clean, i) + 8);
+    if (role == static_cast<std::uint32_t>(NodeRole::kPrimaryInput))
+      pis.push_back(node_offset(clean, i) + 16);
+    if (role == static_cast<std::uint32_t>(NodeRole::kPrimaryOutput))
+      pos.push_back(node_offset(clean, i) + 16);
+  }
+  ASSERT_GE(pis.size(), 2u);
+  ASSERT_FALSE(pos.empty());
+  const std::uint32_t num_pis = static_cast<std::uint32_t>(pis.size());
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::uint32_t ordinal;
+  } cases[] = {
+      {"PO ordinal UINT32_MAX", pos[0], 0xffffffffu},
+      {"PO ordinal 200000000", pos[0], 200000000u},
+      {"duplicate PI ordinal", pis[1], read_u32(clean, pis[0])},
+      {"gapped PI ordinals", pis[0], num_pis},
+  };
+  for (const auto& c : cases) {
+    std::string image = clean;
+    std::memcpy(image.data() + c.at, &c.ordinal, sizeof c.ordinal);
+    restamp_crc(image);
+    try {
+      static_cast<void>(serve::unpack_model(image, "ordinal.tmb"));
+      ADD_FAILURE() << c.what << ": expected FlowError";
+    } catch (const fault::FlowError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kParse) << c.what << ": "
+                                                     << e.what();
+    }
+  }
 }
 
 TEST(ServeLint, CleanImagePasses) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "macro/ilm.hpp"
 #include "sta/propagation.hpp"
 #include "test_helpers.hpp"
 
@@ -346,6 +350,117 @@ TEST(Sta, TighterClockPeriodReducesSlack) {
   sta.run(nominal_constraints(2, 1, 500.0));
   const double tight = sta.worst_slack(kLate);
   EXPECT_LT(tight, loose);
+}
+
+// ---------------------------------------------------------------------
+// Golden fingerprints: FNV-1a over the bit patterns of every live
+// node's slew/at/rat and endpoint credit, for every cppr x aocv x
+// clock_rat combination at 1 and 4 threads. The constants were recorded
+// from the engine before its passes were unified onto the levelized
+// walk; they are an external reference, so a change to propagation
+// order, tie-breaks or check seeding that moves any bit fails here even
+// when serial and parallel runs still agree with each other.
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+  unsigned char bytes[sizeof(double)];
+  std::memcpy(bytes, &v, sizeof(double));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+std::uint64_t sta_fingerprint(const Sta& sta, const TimingGraph& g) {
+  std::uint64_t h = kFnvOffset;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (g.node(n).dead) continue;
+    const PinTiming t = sta.timing(n);
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf) {
+        h = fnv1a(h, t.slew(el, rf));
+        h = fnv1a(h, t.at(el, rf));
+        h = fnv1a(h, t.rat(el, rf));
+        h = fnv1a(h, sta.endpoint_credit(n, el, rf));
+      }
+  }
+  return h;
+}
+
+/// want[mode] with mode = cppr + 2*aocv + 4*clock_rat.
+void expect_golden(const TimingGraph& g, std::uint64_t seed,
+                   const std::array<std::uint64_t, 8>& want) {
+  Rng rng(seed);
+  const BoundaryConstraints bc = random_constraints(
+      g.primary_inputs().size(), g.primary_outputs().size(), {}, rng);
+  for (unsigned mode = 0; mode < want.size(); ++mode) {
+    Sta::Options opt;
+    opt.cppr = (mode & 1u) != 0;
+    opt.aocv.enabled = (mode & 2u) != 0;
+    opt.clock_rat = (mode & 4u) != 0;
+    opt.parallel_min_nodes = 0;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      opt.threads = threads;
+      Sta sta(g, opt);
+      sta.run(bc);
+      EXPECT_EQ(sta_fingerprint(sta, g), want[mode])
+          << "cppr=" << opt.cppr << " aocv=" << opt.aocv.enabled
+          << " clock_rat=" << opt.clock_rat << " threads=" << threads;
+    }
+  }
+}
+
+TEST(StaGolden, TinyDesign) {
+  const Design d = test::make_tiny_design();
+  const TimingGraph g = build_timing_graph(d);
+  expect_golden(g, 0xA1,
+                {15936043902550638789ull, 843059859524754095ull,
+                 7111778994838866836ull, 3073784942321550504ull,
+                 1526984067823775158ull, 9936232956207653365ull,
+                 12906343216242845669ull, 8993030611807281336ull});
+}
+
+TEST(StaGolden, SmallDesign) {
+  const Design d = test::make_small_design();
+  const TimingGraph g = build_timing_graph(d);
+  expect_golden(g, 0xA2,
+                {14615069300536438192ull, 915754304873739836ull,
+                 11492545492460923602ull, 14448078639819737526ull,
+                 7381810314234816015ull, 10233117163196135166ull,
+                 31832552707547254ull, 12480423157879490357ull});
+}
+
+TEST(StaGolden, Ilm) {
+  const Design d = test::make_small_design();
+  const TimingGraph flat = build_timing_graph(d);
+  expect_golden(extract_ilm(flat).graph, 0xA3,
+                {3741777539853752949ull, 3741777539853752949ull,
+                 474312588776548142ull, 474312588776548142ull,
+                 8143934158478221484ull, 8143934158478221484ull,
+                 13352514056111228400ull, 13352514056111228400ull});
+}
+
+TEST(StaGolden, BufferChain) {
+  const Design d = test::make_buffer_chain(40);
+  const TimingGraph g = build_timing_graph(d);
+  expect_golden(g, 0xA4,
+                {12106167403589844794ull, 12106167403589844794ull,
+                 10168646074752075660ull, 10168646074752075660ull,
+                 12106167403589844794ull, 12106167403589844794ull,
+                 10168646074752075660ull, 10168646074752075660ull});
+}
+
+TEST(StaGolden, CpprDesign) {
+  const Design d = make_cppr_design();
+  const TimingGraph g = build_timing_graph(d);
+  expect_golden(g, 0xA5,
+                {10131251082277561189ull, 6966288993970081675ull,
+                 10817641113089431188ull, 8123393888191501226ull,
+                 2546122195692627864ull, 11069876825798972887ull,
+                 2986018893683368225ull, 3033107749233367102ull});
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 #             incremental TS equivalence tests (the per-worker scratch
 #             graph / engine reuse is the racy-by-construction surface),
 #             the parallel STA + task-pool suites (levelized workers
-#             over the shared SoA store, tests/test_sta_parallel.cpp)
+#             over the shared SoA store, tests/test_sta_parallel.cpp,
+#             plus the StaGolden fingerprints at 4 threads)
 #             and the serving-engine concurrency tests (shared registry
 #             + sharded cache + socket server, tests/test_serve.cpp).
 #   tidy      clang-tidy over src/ using the repo .clang-tidy config
@@ -78,7 +79,7 @@ run_tsan() {
   cmake --build "$ROOT/build-check-tsan" -j"$JOBS" --target tmm_tests
   TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-check-tsan/tests/tmm_tests" \
-    --gtest_filter='StaIncremental.*:StaParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
+    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
 }
 
 run_tidy() {
@@ -129,7 +130,7 @@ run_lockorder() {
   # real mutexes fails the suite (the deliberate inversions in
   # LockOrder.* reset their observations).
   "$ROOT/build-check-lockorder/tests/tmm_tests" \
-    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:Server*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
+    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:StaGolden*:Server*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
   # Self-audit gate: dump the registered lock hierarchy and fail on any
   # cycle (exit 3).
   "$ROOT/build-check-lockorder/tools/tmm" lint --concurrency
