@@ -69,8 +69,8 @@ std::uint64_t library_fingerprint(const Library& lib) {
 std::uint64_t flow_fingerprint(const FlowConfig& cfg) {
   // Canonical serialization of every field that changes the generated
   // sensitivity data or the trained model. Fields that only change
-  // performance (threads, incremental, collect_stage_timings) or the
-  // evaluation stage (eval_*) are deliberately excluded. v2 added the
+  // performance (threads, data.ts.incremental) or the evaluation stage
+  // (eval_*) are deliberately excluded. v2 added the
   // liberty-library hash: TS labels depend on cell timing, so a
   // swapped library must invalidate --resume.
   std::ostringstream os;

@@ -135,9 +135,8 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
       log_error("train design %s failed, skipped: %s", d.name().c_str(),
                 e.what());
     }
-    if (cfg_.collect_stage_timings)
-      summary.stage_timings.push_back(
-          {"data_generation:" + d.name(), design_sw.seconds()});
+    summary.stage_timings.push_back(
+        {"data_generation:" + d.name(), design_sw.seconds()});
   }
   if (summary.designs == 0 && !designs.empty())
     throw fault::FlowError(
@@ -145,9 +144,8 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
         "every training design failed (first: " + summary.failed.front().design +
             ": " + summary.failed.front().error + ")");
   summary.data_generation_seconds = data_sw.seconds();
-  if (cfg_.collect_stage_timings)
-    summary.stage_timings.push_back(
-        {"data_generation", summary.data_generation_seconds});
+  summary.stage_timings.push_back(
+      {"data_generation", summary.data_generation_seconds});
   if (summary.designs > 0)
     summary.mean_filtered_fraction =
         filtered_sum / static_cast<double>(summary.designs);
@@ -193,8 +191,7 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
     if (cfg_.regression) tcfg.loss = LossKind::kMeanSquaredError;
     summary.report = train_model(*gnn_, samples, tcfg);
     ckpt.save_model(*gnn_);
-    if (cfg_.collect_stage_timings)
-      summary.stage_timings.push_back({"gnn_training", summary.report.seconds});
+    summary.stage_timings.push_back({"gnn_training", summary.report.seconds});
   }
   obs::trace_rss_sample();
   return summary;
@@ -267,8 +264,7 @@ DesignResult Framework::run_design(const Design& design) {
   std::vector<StageTiming> stages;
   Stopwatch stage_sw;
   auto mark = [&](const char* stage) {
-    if (cfg_.collect_stage_timings)
-      stages.push_back({stage, stage_sw.seconds()});
+    stages.push_back({stage, stage_sw.seconds()});
     stage_sw.reset();
   };
 
@@ -327,11 +323,8 @@ DesignResult Framework::run_itimerm(const Design& design,
   model.design_name = design.name();
   const double gen_seconds = stage_sw.seconds();
   DesignResult result = evaluate(design, flat, std::move(model), gen);
-  if (cfg_.collect_stage_timings) {
-    result.stage_timings.push_back({"generate", gen_seconds});
-    result.stage_timings.push_back(
-        {"evaluate", stage_sw.seconds() - gen_seconds});
-  }
+  result.stage_timings.push_back({"generate", gen_seconds});
+  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
   return result;
 }
 
@@ -345,11 +338,8 @@ DesignResult Framework::run_libabs(const Design& design,
   model.design_name = design.name();
   const double gen_seconds = stage_sw.seconds();
   DesignResult result = evaluate(design, flat, std::move(model), gen);
-  if (cfg_.collect_stage_timings) {
-    result.stage_timings.push_back({"generate", gen_seconds});
-    result.stage_timings.push_back(
-        {"evaluate", stage_sw.seconds() - gen_seconds});
-  }
+  result.stage_timings.push_back({"generate", gen_seconds});
+  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
   return result;
 }
 
@@ -362,11 +352,8 @@ DesignResult Framework::run_etm(const Design& design, const EtmConfig& cfg) {
   model.design_name = design.name();
   const double gen_seconds = stage_sw.seconds();
   DesignResult result = evaluate(design, flat, std::move(model), gen);
-  if (cfg_.collect_stage_timings) {
-    result.stage_timings.push_back({"generate", gen_seconds});
-    result.stage_timings.push_back(
-        {"evaluate", stage_sw.seconds() - gen_seconds});
-  }
+  result.stage_timings.push_back({"generate", gen_seconds});
+  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
   return result;
 }
 

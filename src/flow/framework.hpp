@@ -84,13 +84,6 @@ struct FlowConfig {
   /// (TMM_THREADS when set, else hardware concurrency), 1 = serial,
   /// N = at most N. Plumbed from the tmm CLI's --threads flag.
   std::size_t threads = 0;
-
-  /// Observability hook: record a per-stage wall-clock breakdown into
-  /// TrainingSummary::stage_timings / DesignResult::stage_timings (one
-  /// Stopwatch read per stage; see docs/OBSERVABILITY.md for the stage
-  /// names). Trace spans are emitted regardless — they are free unless
-  /// obs::set_tracing_enabled(true) was called.
-  bool collect_stage_timings = true;
 };
 
 /// One named flow stage and its wall-clock cost.
@@ -110,10 +103,10 @@ struct DesignResult {
   std::size_t usage_peak_rss = 0;
   /// In-memory footprint of the loaded model graph ("Usage Memory").
   std::size_t model_memory_bytes = 0;
-  /// Wall-clock breakdown of the run (ilm / inference / merge /
-  /// evaluate, plus validate when FlowConfig::validate_stages is on);
-  /// empty when FlowConfig::collect_stage_timings is off or for
-  /// baseline runs.
+  /// Wall-clock breakdown of the run, one Stopwatch read per stage
+  /// (docs/OBSERVABILITY.md): build_flat_graph / ilm / inference /
+  /// merge / evaluate, plus validate when FlowConfig::validate_stages is
+  /// on; generate / evaluate for the baseline runs.
   std::vector<StageTiming> stage_timings;
 };
 
@@ -143,8 +136,7 @@ struct TrainingSummary {
   std::size_t designs_from_checkpoint = 0;
   bool model_from_checkpoint = false;
   /// Wall-clock breakdown (data_generation / gnn_training, plus one
-  /// data_generation:<design> entry per training design); empty when
-  /// FlowConfig::collect_stage_timings is off.
+  /// data_generation:<design> entry per training design).
   std::vector<StageTiming> stage_timings;
 };
 

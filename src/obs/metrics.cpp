@@ -14,30 +14,14 @@
 namespace tmm::obs {
 
 Histogram::Histogram(std::span<const double> bounds)
-    : bounds_(bounds.begin(), bounds.end()),
-      buckets_(bounds.size() + 1) {
+    : bounds_(bounds.begin(), bounds.end()), core_(bounds.size()) {
   std::sort(bounds_.begin(), bounds_.end());
 }
 
-void Histogram::observe(double v) noexcept {
-  // lower_bound: bounds are *inclusive* upper bounds, so a value equal
-  // to a bound counts in that bound's bucket, and only values above the
-  // last bound reach the overflow bucket.
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // CAS add: std::atomic<double>::fetch_add is C++20 but spotty on
-  // older toolchains; the loop is equivalent and relaxed-safe.
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> out(core_.buckets.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = core_.buckets[i].load(std::memory_order_relaxed);
   return out;
 }
 
@@ -78,12 +62,6 @@ std::vector<double> log_spaced_bounds(double lo, double hi, int per_decade) {
   const double step = std::pow(10.0, 1.0 / per_decade);
   for (double b = lo; b < hi * step; b *= step) bounds.push_back(b);
   return bounds;
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -14,6 +14,7 @@
 // Metric names follow the `layer.quantity` convention documented in
 // docs/OBSERVABILITY.md.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <ostream>
@@ -52,21 +53,57 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// The bucket core obs::Histogram and every obs::WindowedHistogram slot
+/// share: lock-free per-bucket counts, a total count and a sum over
+/// ascending upper `bounds` owned by the caller, plus one implicit
+/// overflow bucket for everything above the last bound.
+struct AtomicBuckets {
+  explicit AtomicBuckets(std::size_t num_bounds) : buckets(num_bounds + 1) {}
+
+  void observe(std::span<const double> bounds, double v) noexcept {
+    // lower_bound: bounds are *inclusive* upper bounds, so a value equal
+    // to a bound counts in that bound's bucket, and only values above
+    // the last bound reach the overflow bucket.
+    const auto i = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+    buckets[i].fetch_add(1, std::memory_order_relaxed);
+    count.fetch_add(1, std::memory_order_relaxed);
+    // CAS add: std::atomic<double>::fetch_add is C++20 but spotty on
+    // older toolchains; the loop is equivalent and relaxed-safe.
+    double cur = sum.load(std::memory_order_relaxed);
+    while (!sum.compare_exchange_weak(cur, cur + v,
+                                      std::memory_order_relaxed)) {
+    }
+  }
+
+  void clear() noexcept {
+    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+    count.store(0, std::memory_order_relaxed);
+    sum.store(0.0, std::memory_order_relaxed);
+  }
+
+  std::vector<std::atomic<std::uint64_t>> buckets;
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<double> sum{0.0};
+};
+
 /// Fixed-bucket histogram: `bounds` are ascending upper bounds; one
 /// implicit overflow bucket collects everything above the last bound.
 class Histogram {
  public:
   explicit Histogram(std::span<const double> bounds);
 
-  void observe(double v) noexcept;
+  void observe(double v) noexcept { core_.observe(bounds_, v); }
 
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   std::vector<std::uint64_t> bucket_counts() const;
   std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    return core_.count.load(std::memory_order_relaxed);
   }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  double sum() const noexcept {
+    return core_.sum.load(std::memory_order_relaxed);
+  }
 
   /// Estimated q-quantile (q in [0,1]) by linear interpolation inside
   /// the bucket the rank falls into; observations in the overflow
@@ -74,13 +111,11 @@ class Histogram {
   /// 0 when empty. The JSON snapshot emits p50/p95/p99/p999 from this.
   double quantile(double q) const;
 
-  void reset() noexcept;
+  void reset() noexcept { core_.clear(); }
 
  private:
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  AtomicBuckets core_;
 };
 
 /// Estimate the q-quantile of a bucketed distribution: `buckets` has

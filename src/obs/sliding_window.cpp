@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/metrics.hpp"
-
 namespace tmm::obs {
 
 namespace {
@@ -96,7 +94,7 @@ WindowedHistogram::WindowedHistogram(std::span<const double> bounds,
   const std::size_t n = std::max<std::size_t>(num_slots, 2);
   slots_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    slots_.push_back(std::make_unique<Slot>(bounds_.size() + 1));
+    slots_.push_back(std::make_unique<Slot>(bounds_.size()));
 }
 
 WindowedHistogram::Slot* WindowedHistogram::slot_for(
@@ -107,20 +105,8 @@ WindowedHistogram::Slot* WindowedHistogram::slot_for(
 void WindowedHistogram::observe(std::uint64_t now_us, double v) noexcept {
   const std::int64_t e = epoch_of(now_us);
   Slot* s = slot_for(e);
-  const bool claimed = claim_slot(s->epoch, e, [&] {
-    for (auto& b : s->buckets) b.store(0, std::memory_order_relaxed);
-    s->count.store(0, std::memory_order_relaxed);
-    s->sum.store(0.0, std::memory_order_relaxed);
-  });
-  if (!claimed) return;
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  s->buckets[i].fetch_add(1, std::memory_order_relaxed);
-  s->count.fetch_add(1, std::memory_order_relaxed);
-  double cur = s->sum.load(std::memory_order_relaxed);
-  while (!s->sum.compare_exchange_weak(cur, cur + v,
-                                       std::memory_order_relaxed)) {
-  }
+  if (claim_slot(s->epoch, e, [&] { s->data.clear(); }))
+    s->data.observe(bounds_, v);
 }
 
 WindowedHistogram::Snapshot WindowedHistogram::snapshot(
@@ -136,9 +122,9 @@ WindowedHistogram::Snapshot WindowedHistogram::snapshot(
     const Slot& s = *slots_[static_cast<std::size_t>(e) % slots_.size()];
     if (s.epoch.load(std::memory_order_acquire) != e) continue;
     for (std::size_t b = 0; b < tmp.size(); ++b)
-      tmp[b] = s.buckets[b].load(std::memory_order_relaxed);
-    const std::uint64_t count = s.count.load(std::memory_order_relaxed);
-    const double sum = s.sum.load(std::memory_order_relaxed);
+      tmp[b] = s.data.buckets[b].load(std::memory_order_relaxed);
+    const std::uint64_t count = s.data.count.load(std::memory_order_relaxed);
+    const double sum = s.data.sum.load(std::memory_order_relaxed);
     // A slot recycled for a later second mid-read would mix windows:
     // merge only after re-validating the epoch (dropping a racing slot
     // loses at most one second of a 300 s window).

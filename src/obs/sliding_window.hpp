@@ -28,6 +28,8 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace tmm::obs {
 
 /// Windowed event counter: add() lands in the current 1 s slot,
@@ -89,11 +91,9 @@ class WindowedHistogram {
 
  private:
   struct Slot {
-    explicit Slot(std::size_t num_buckets) : buckets(num_buckets) {}
+    explicit Slot(std::size_t num_bounds) : data(num_bounds) {}
     std::atomic<std::int64_t> epoch{-1};
-    std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
+    AtomicBuckets data;
   };
   Slot* slot_for(std::int64_t epoch) noexcept;
 

@@ -120,13 +120,14 @@ void append_elrf(std::string& key, const ElRf<double>& x) {
 
 }  // namespace
 
-Evaluator::Evaluator(const ModelRegistry& registry, Options opt)
-    : static_registry_(&registry),
+Evaluator::Evaluator(RegistryManager& manager, Options opt)
+    : manager_(&manager),
       opt_(opt),
       cache_(opt.cache_capacity, opt.cache_shards) {}
 
-Evaluator::Evaluator(RegistryManager& manager, Options opt)
-    : manager_(&manager),
+Evaluator::Evaluator(const ModelRegistry& registry, Options opt)
+    : owned_(std::make_unique<RegistryManager>(registry)),
+      manager_(owned_.get()),
       opt_(opt),
       cache_(opt.cache_capacity, opt.cache_shards) {}
 
@@ -134,18 +135,15 @@ Evaluator::Result Evaluator::evaluate(const std::string& model_name,
                                       const BoundaryConstraints& bc,
                                       BoundarySnapshot& out,
                                       Scratch& scratch, bool bypass_cache) {
-  const ModelRegistry* registry = static_registry_;
-  if (manager_ != nullptr) {
-    // Pin the published generation for the whole request. On a swap the
-    // per-model engines point into the old generation — drop them; the
-    // old registry itself stays alive until every scratch re-pins.
-    std::shared_ptr<const ModelRegistry> cur = manager_->current();
-    if (scratch.pinned != cur) {
-      scratch.engines.clear();
-      scratch.pinned = std::move(cur);
-    }
-    registry = scratch.pinned.get();
+  // Pin the published generation for the whole request. On a swap the
+  // per-model engines point into the old generation — drop them; the
+  // old registry itself stays alive until every scratch re-pins.
+  std::shared_ptr<const ModelRegistry> cur = manager_->current();
+  if (scratch.pinned != cur) {
+    scratch.engines.clear();
+    scratch.pinned = std::move(cur);
   }
+  const ModelRegistry* registry = scratch.pinned.get();
   const RegistryEntry* entry = registry->find(model_name);
   if (entry == nullptr)
     throw FlowError(ErrorCode::kUnavailable, "serve.evaluate",

@@ -1,7 +1,8 @@
 #pragma once
 // Boundary-timing query engine for the serving layer: answers
-// (model, boundary constraints) -> BoundarySnapshot queries against a
-// ModelRegistry, through a sharded LRU result cache.
+// (model, boundary constraints) -> BoundarySnapshot queries against the
+// registry generation a RegistryManager publishes (a fixed registry is
+// a one-generation manager), through a sharded LRU result cache.
 //
 // Concurrency model: the Evaluator itself is shared and thread-safe
 // (the cache shards its locks); each worker thread owns a Scratch that
@@ -103,24 +104,24 @@ class Evaluator {
     Sta::Options sta;
   };
 
-  /// Static mode: one immutable registry for the evaluator's lifetime
-  /// (offline verification, unit tests). The caller keeps `registry`
-  /// alive.
-  Evaluator(const ModelRegistry& registry, Options opt);
-  /// Managed mode: evaluate against whatever generation `manager`
-  /// currently publishes. Each Scratch pins the generation it last saw
-  /// and re-pins (dropping its per-model engines) when a reload swaps
-  /// in a new one, so a worker mid-request keeps its registry alive
-  /// even while the swap happens. Non-const: the server reaches the
-  /// manager through here to run reloads (kReload / SIGHUP).
+  /// Evaluate against whatever generation `manager` currently
+  /// publishes. Each Scratch pins the generation it last saw and
+  /// re-pins (dropping its per-model engines) when a reload swaps in a
+  /// new one, so a worker mid-request keeps its registry alive even
+  /// while the swap happens. Non-const: the server reaches the manager
+  /// through here to run reloads (kReload / SIGHUP).
   Evaluator(RegistryManager& manager, Options opt);
+  /// Evaluate against one registry the caller keeps alive (offline
+  /// verification, unit tests): the Evaluator owns a one-generation
+  /// RegistryManager over it (RegistryManager(const ModelRegistry&)).
+  Evaluator(const ModelRegistry& registry, Options opt);
 
   /// Per-thread state: one Sta engine per model (built on first use)
   /// plus reusable key/constraint buffers. NOT thread-safe; one Scratch
   /// per worker.
   struct Scratch {
     std::unordered_map<const RegistryEntry*, std::unique_ptr<Sta>> engines;
-    /// Managed mode: the generation the engines were built against.
+    /// The generation the engines were built against.
     std::shared_ptr<const ModelRegistry> pinned;
     BoundaryConstraints qbc;
     std::string key;
@@ -140,19 +141,12 @@ class Evaluator {
   CacheStats cache_stats() const noexcept { return cache_.stats(); }
   const Options& options() const noexcept { return opt_; }
 
-  /// Managed mode's registry manager; nullptr in static mode.
-  RegistryManager* manager() const noexcept { return manager_; }
-  /// The registry queries run against right now: the published
-  /// generation (managed) or a non-owning view of the static registry.
-  std::shared_ptr<const ModelRegistry> current_registry() const {
-    if (manager_ != nullptr) return manager_->current();
-    return {std::shared_ptr<const ModelRegistry>{}, static_registry_};
-  }
+  /// Never null: the caller's manager or the owned one-generation one.
+  RegistryManager& manager() const noexcept { return *manager_; }
 
  private:
-  /// Exactly one of these is set, for the evaluator's whole life.
-  const ModelRegistry* static_registry_ = nullptr;
-  RegistryManager* manager_ = nullptr;
+  std::unique_ptr<RegistryManager> owned_;  ///< set by the registry ctor
+  RegistryManager* manager_;
   Options opt_;
   ResultCache cache_;
 };

@@ -29,6 +29,11 @@ RegistryManager::RegistryManager(std::string dir, Validator validator)
       gen_mu_(kGenerationLockClass),
       current_(std::make_shared<const ModelRegistry>()) {}
 
+RegistryManager::RegistryManager(const ModelRegistry& fixed)
+    : reload_mu_(kReloadLockClass),
+      gen_mu_(kGenerationLockClass),
+      current_(std::shared_ptr<const ModelRegistry>(), &fixed) {}
+
 std::size_t RegistryManager::load_initial() {
   util::MutexLock pass(reload_mu_);
   auto fresh = std::make_shared<ModelRegistry>();

@@ -63,6 +63,12 @@ class RegistryManager {
 
   explicit RegistryManager(std::string dir, Validator validator = {});
 
+  /// A one-generation manager over a registry the caller keeps alive:
+  /// current() is a non-owning view of `fixed`, whose generation stays
+  /// as it is. There is no directory to reload from, so reload() fails
+  /// and rolls back like any failed load.
+  explicit RegistryManager(const ModelRegistry& fixed);
+
   /// Startup load: same semantics as ModelRegistry::load_directory
   /// (per-file isolation, throws kIo/kUnavailable on fatal problems).
   /// Publishes generation 1. Returns the number of models loaded.

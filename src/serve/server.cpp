@@ -119,6 +119,10 @@ void Server::start() {
   if (opt_.unix_path.empty() && opt_.tcp_port < 0)
     throw FlowError(ErrorCode::kConfig, "serve.server",
                     "either a unix socket path or a TCP port is required");
+  if (opt_.tcp_port > 65535)
+    throw FlowError(ErrorCode::kConfig, "serve.server",
+                    "--port must be in 0..65535, got " +
+                        std::to_string(opt_.tcp_port));
 
   // Resolved admission budget: enough slots to keep every worker's
   // batch full, never fewer than one.
@@ -133,7 +137,7 @@ void Server::start() {
   // list is the startup generation's; models introduced by a later
   // reload aggregate into the global section only.
   {
-    const std::shared_ptr<const ModelRegistry> reg = eval_.current_registry();
+    const std::shared_ptr<const ModelRegistry> reg = eval_.manager().current();
     std::vector<std::string> models;
     models.reserve(reg->entries().size());
     for (const auto& [name, entry] : reg->entries())
@@ -244,21 +248,19 @@ void Server::reload_main() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     char byte = 0;
     if (::read(reload_pipe_[0], &byte, 1) <= 0) return;
-    if (RegistryManager* mgr = eval_.manager()) mgr->reload();
+    eval_.manager().reload();
   }
 }
 
 std::string Server::stats_extra_json() const {
-  std::string out;
-  if (const RegistryManager* mgr = eval_.manager()) {
-    const RegistryManager::Counters c = mgr->counters();
-    out += "\"reload\": {\"generation\": " + std::to_string(c.generation);
-    out += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
-    out += ", \"reload_failures\": " + std::to_string(c.reload_failures);
-    out += ", \"last_swap_us\": " + std::to_string(c.last_swap_us);
-    out += ", \"last_error\": " + json_escaped(c.last_error);
-    out += "},\n  ";
-  }
+  const RegistryManager::Counters c = eval_.manager().counters();
+  std::string out =
+      "\"reload\": {\"generation\": " + std::to_string(c.generation);
+  out += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
+  out += ", \"reload_failures\": " + std::to_string(c.reload_failures);
+  out += ", \"last_swap_us\": " + std::to_string(c.last_swap_us);
+  out += ", \"last_error\": " + json_escaped(c.last_error);
+  out += "},\n  ";
   out += "\"admission\": {\"max_inflight\": " + std::to_string(max_inflight_);
   out += ", \"inflight\": " +
          std::to_string(inflight_.load(std::memory_order_relaxed));
@@ -290,8 +292,7 @@ void Server::serve() {
   workers_.reserve(static_cast<std::size_t>(opt_.num_threads));
   for (int i = 0; i < opt_.num_threads; ++i)
     workers_.emplace_back([this] { worker_main(); });
-  if (eval_.manager() != nullptr)
-    reload_thread_ = std::thread([this] { reload_main(); });
+  reload_thread_ = std::thread([this] { reload_main(); });
 
   pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
   while (!stopping_.load(std::memory_order_relaxed)) {
@@ -483,38 +484,30 @@ void Server::handle_connection(int fd, Evaluator::Scratch& scratch) {
             resp.text = stats_->stats_json(now_us, stats_extra_json());
           } else if (p.req.kind == RequestKind::kHealth) {
             const std::shared_ptr<const ModelRegistry> reg =
-                eval_.current_registry();
-            RegistryManager::Counters rc;
-            if (const RegistryManager* mgr = eval_.manager())
-              rc = mgr->counters();
+                eval_.manager().current();
+            const RegistryManager::Counters rc = eval_.manager().counters();
             resp.text = stats_->health_json(
                 now_us, stopping_.load(std::memory_order_relaxed),
                 reg->entries().size(), reg->failures().size(), rc.generation,
                 rc.reloads_ok, rc.reload_failures);
           } else if (p.req.kind == RequestKind::kReload) {
-            if (RegistryManager* mgr = eval_.manager()) {
-              const ReloadResult r = mgr->reload();
-              std::string text = "{\"ok\": ";
-              text += r.ok ? "true" : "false";
-              text += ", \"generation\": " + std::to_string(r.generation);
-              text += ", \"models_loaded\": " + std::to_string(r.models_loaded);
-              text += ", \"load_failures\": " + std::to_string(r.load_failures);
-              std::ostringstream us;
-              us << ", \"reload_us\": " << r.reload_us << ", \"swap_us\": "
-                 << r.swap_us;
-              text += us.str();
-              const RegistryManager::Counters c = mgr->counters();
-              text += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
-              text +=
-                  ", \"reload_failures\": " + std::to_string(c.reload_failures);
-              text += ", \"error\": " + json_escaped(r.error);
-              text += "}\n";
-              resp.text = std::move(text);
-            } else {
-              resp.text =
-                  "{\"ok\": false, \"error\": \"hot-reload unavailable: "
-                  "server has no registry manager\"}\n";
-            }
+            RegistryManager& mgr = eval_.manager();
+            const ReloadResult r = mgr.reload();
+            std::string text = "{\"ok\": ";
+            text += r.ok ? "true" : "false";
+            text += ", \"generation\": " + std::to_string(r.generation);
+            text += ", \"models_loaded\": " + std::to_string(r.models_loaded);
+            text += ", \"load_failures\": " + std::to_string(r.load_failures);
+            std::ostringstream us;
+            us << ", \"reload_us\": " << r.reload_us << ", \"swap_us\": "
+               << r.swap_us;
+            text += us.str();
+            const RegistryManager::Counters c = mgr.counters();
+            text += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
+            text += ", \"reload_failures\": " + std::to_string(c.reload_failures);
+            text += ", \"error\": " + json_escaped(r.error);
+            text += "}\n";
+            resp.text = std::move(text);
           } else {  // kFlightDump
             std::ostringstream os;
             obs::write_flight_dump_json(os);

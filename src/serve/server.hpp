@@ -27,10 +27,11 @@
 // kOverloaded instead of timing out after consuming an evaluator
 // slot. Admin traffic is never shed.
 //
-// Hot-reload: when the evaluator runs in managed mode
-// (serve/reload.hpp), a kReload admin request — or request_reload(),
-// the CLI's SIGHUP hook — triggers a RegistryManager::reload() and the
-// next evaluate on each worker re-pins the new generation. A reload
+// Hot-reload: a kReload admin request — or request_reload(), the CLI's
+// SIGHUP hook — triggers the evaluator's RegistryManager::reload()
+// (serve/reload.hpp) and the next evaluate on each worker re-pins the
+// new generation. Over a fixed registry the reload fails and rolls
+// back: the answer is ok:false with the load diagnostic. A reload
 // runs on the worker answering the kReload frame (serialized by the
 // manager), or on a dedicated thread for the signal path.
 
@@ -52,8 +53,9 @@ namespace tmm::serve {
 struct ServerOptions {
   /// Unix-domain socket path; preferred when non-empty.
   std::string unix_path;
-  /// TCP port on 127.0.0.1 when unix_path is empty; 0 = ephemeral
-  /// (query the bound port with bound_port()).
+  /// TCP port on 127.0.0.1 when unix_path is empty, 0..65535 (start()
+  /// rejects more); 0 = ephemeral (query the bound port with
+  /// bound_port()).
   int tcp_port = 0;
   int num_threads = 4;
   /// Max requests answered per worker wakeup (adaptive batching).
@@ -95,8 +97,8 @@ class Server {
   void stop() noexcept;
 
   /// Request a hot reload of the models directory. Async-signal-safe
-  /// (the CLI's SIGHUP handler); a no-op when the evaluator has no
-  /// registry manager. The reload itself runs on the reload thread.
+  /// (the CLI's SIGHUP handler). The reload itself runs on the reload
+  /// thread; over a fixed registry it fails and rolls back.
   void request_reload() noexcept;
 
   /// Port actually bound (TCP mode), valid after start().

@@ -168,6 +168,19 @@ set -e
 [ "$rc6" -eq 1 ]
 [ "$rc7" -eq 1 ]
 
+# A TCP port above 65535 is a configuration error (exit 2) on both
+# sides, never a silently truncated bind or connect.
+set +e
+"$TMM" serve "$DIR/models" --port 65536 2> "$DIR/err_port.txt"
+rc_port=$?
+"$TMM" stat 70000 2> "$DIR/err_statport.txt"
+rc_statport=$?
+set -e
+[ "$rc_port" -eq 2 ]
+[ "$rc_statport" -eq 2 ]
+grep -q "65536" "$DIR/err_port.txt"
+grep -q "out of range" "$DIR/err_statport.txt"
+
 # Full serving loop: server on a unix socket, loadgen verifying every
 # response bit-identical against the offline evaluator, SIGTERM drain.
 "$TMM" serve "$DIR/models" --socket "$DIR/tmm.sock" --threads 2 \
@@ -291,6 +304,12 @@ set +e
 rc_rw=$?
 set -e
 [ "$rc_rw" -eq 2 ]
+# --watch rides out the drain below: the request it writes into the
+# closed connection leads to a reconnect, not a SIGPIPE death.
+"$TMM" stat --health --watch --interval 0.2 "$DIR/reload.sock" \
+  > /dev/null 2>&1 &
+WATCH=$!
+sleep 0.5
 kill -TERM "$SRVR"
 set +e
 wait "$SRVR"
@@ -298,6 +317,10 @@ rc10=$?
 set -e
 [ "$rc10" -eq 0 ]
 grep -q "1 failed" "$DIR/serve_reload.txt"
+sleep 1
+kill -0 "$WATCH"
+kill "$WATCH"
+wait "$WATCH" || true
 
 # Degraded startup: one corrupt model among good ones still serves, but
 # the drain exits 3 so orchestrators notice.

@@ -101,12 +101,8 @@ TEST(AnalysisGraphLint, NanLutFiresL001) {
   // Lut factories reject non-finite surfaces with a structured numeric
   // error before a graph can ever own such a table, so the lint rule is
   // pure defense in depth (e.g. against post-construction corruption).
-  try {
-    uniform_tables(std::nan(""));
-    FAIL() << "expected fault::FlowError for a NaN lookup-table surface";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kNumeric);
-  }
+  EXPECT_EQ(test::code_of([] { uniform_tables(std::nan("")); }),
+            fault::ErrorCode::kNumeric);
 }
 
 TEST(AnalysisGraphLint, DuplicatePortOrdinalFiresB001) {

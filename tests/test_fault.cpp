@@ -27,25 +27,7 @@ namespace tmm {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique scratch directory, removed on scope exit.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "tmm_fault_XXXXXX").string();
-    char* p = ::mkdtemp(tmpl.data());
-    EXPECT_NE(p, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string str(const char* leaf = nullptr) const {
-    return leaf ? (path / leaf).string() : path.string();
-  }
-};
+using namespace test;
 
 /// Every test leaves the process disarmed regardless of outcome.
 struct DisarmGuard {
@@ -173,12 +155,8 @@ TEST(FaultInjection, FiresExactlyOnceOnNthHit) {
   EXPECT_NO_THROW(fault::inject("gnn.train_epoch"));
   EXPECT_NO_THROW(fault::inject("gnn.train_epoch"));
   EXPECT_FALSE(fault::fired());
-  try {
-    fault::inject("gnn.train_epoch");
-    FAIL() << "expected FlowError on 3rd hit";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kInjected);
-  }
+  EXPECT_EQ(code_of([] { fault::inject("gnn.train_epoch"); }),
+            fault::ErrorCode::kInjected);  // the 3rd hit
   EXPECT_TRUE(fault::fired());
   // Single-shot: further hits pass through.
   EXPECT_NO_THROW(fault::inject("gnn.train_epoch"));
@@ -263,23 +241,18 @@ TEST(Corpus, GnnModelsFailWithStructuredParseErrors) {
   const fs::path corpus(TMM_TEST_CORPUS_DIR);
   for (const char* f : {"nan_weight.gnn", "truncated.gnn"}) {
     const std::string path = (corpus / f).string();
-    try {
-      static_cast<void>(load_gnn_file(path));
-      FAIL() << f << ": expected FlowError";
-    } catch (const fault::FlowError& e) {
-      EXPECT_EQ(e.code(), fault::ErrorCode::kParse) << f << ": " << e.what();
-    }
+    EXPECT_EQ(code_of([&] { static_cast<void>(load_gnn_file(path)); }),
+              fault::ErrorCode::kParse)
+        << f;
   }
 }
 
 TEST(Corpus, MissingFileIsIoNotParse) {
-  try {
-    static_cast<void>(read_design_file("/no/such/file.dsn",
-                                       test::shared_library()));
-    FAIL() << "expected FlowError";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kIo);
-  }
+  EXPECT_EQ(code_of([] {
+              static_cast<void>(read_design_file("/no/such/file.dsn",
+                                                 test::shared_library()));
+            }),
+            fault::ErrorCode::kIo);
 }
 
 // ----------------------------------------------------- per-pin isolation
@@ -370,12 +343,10 @@ TEST(Checkpoint, FingerprintMismatchIsAConfigError) {
   static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
   cfg.cppr = !cfg.cppr;
   EXPECT_NE(flow::flow_fingerprint(cfg), flow::flow_fingerprint(FlowConfig{}));
-  try {
-    static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
-    FAIL() << "expected FlowError";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kConfig);
-  }
+  EXPECT_EQ(code_of([&] {
+              static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
+            }),
+            fault::ErrorCode::kConfig);
 }
 
 TEST(Checkpoint, SwappedLibraryInvalidatesFingerprint) {
@@ -394,12 +365,10 @@ TEST(Checkpoint, SwappedLibraryInvalidatesFingerprint) {
   cfg.library_fingerprint = base;
   static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
   cfg.library_fingerprint = base + 1;  // different library hash
-  try {
-    static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
-    FAIL() << "expected FlowError";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kConfig);
-  }
+  EXPECT_EQ(code_of([&] {
+              static_cast<void>(flow::Checkpoint::open(dir.str(), cfg));
+            }),
+            fault::ErrorCode::kConfig);
 }
 
 TEST(Checkpoint, OpenCleansStaleTmpDebris) {
@@ -448,12 +417,8 @@ TEST(TrainIsolation, AllDesignsFailingThrowsUnavailable) {
   const std::vector<Design> designs = {test::make_tiny_design("tc", 31)};
   ASSERT_TRUE(fault::arm("flow.train_design", 1).ok());
   Framework fw(tiny_train_config());
-  try {
-    static_cast<void>(fw.train(designs));
-    FAIL() << "expected FlowError";
-  } catch (const fault::FlowError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kUnavailable);
-  }
+  EXPECT_EQ(code_of([&] { static_cast<void>(fw.train(designs)); }),
+            fault::ErrorCode::kUnavailable);
 }
 
 TEST(Resume, InterruptedTrainResumesBitIdentically) {

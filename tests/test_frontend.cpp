@@ -22,6 +22,7 @@
 #include "frontend/verilog_parser.hpp"
 #include "netlist/netlist_io.hpp"
 #include "sta/timing_graph.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 #ifndef TMM_TEST_CORPUS_DIR
@@ -509,10 +510,9 @@ TEST(FrontendRegistry, ImportedDsnReloadsViaRegistry) {
   // Write a BLIF to disk, import via the public API, write the .dsn,
   // then reload it with no preferred library: NK cells resolve through
   // the registry.
-  std::string dir = (fs::temp_directory_path() / "tmm_fe_XXXXXX").string();
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  const std::string blif_path = dir + "/maj.blif";
-  const std::string dsn_path = dir + "/maj.dsn";
+  const test::TempDir dir;
+  const std::string blif_path = dir.str("maj.blif");
+  const std::string dsn_path = dir.str("maj.dsn");
   {
     std::ofstream os(blif_path);
     os << kMajority;
@@ -521,7 +521,6 @@ TEST(FrontendRegistry, ImportedDsnReloadsViaRegistry) {
   write_design_file(d, dsn_path);
   const Design back = frontend::load_design_any(dsn_path);
   EXPECT_EQ(serialized(back), serialized(d));
-  fs::remove_all(dir);
 }
 
 }  // namespace

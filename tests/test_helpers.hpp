@@ -1,14 +1,50 @@
 #pragma once
-// Shared fixtures: a process-wide generated library and small
-// hand-sized designs with known structure.
+// Shared fixtures: a process-wide generated library, small hand-sized
+// designs with known structure, scratch directories and error-code
+// capture.
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <memory>
 
+#include "fault/fault.hpp"
 #include "liberty/library_gen.hpp"
 #include "netlist/design.hpp"
 #include "netlist/design_gen.hpp"
 
 namespace tmm::test {
+
+/// Unique scratch directory, removed on scope exit.
+struct TempDir {
+  std::filesystem::path path;
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "tmm_test_XXXXXX").string();
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+    path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string str(const char* leaf = nullptr) const {
+    return leaf ? (path / leaf).string() : path.string();
+  }
+};
+
+/// The FlowError code `fn` throws; a test failure when it throws none.
+inline fault::ErrorCode code_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const fault::FlowError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected FlowError";
+  return fault::ErrorCode::kOk;
+}
 
 /// One generated library shared by all tests (cells are immutable).
 inline const Library& shared_library() {

@@ -7,9 +7,6 @@
 // evaluate hammer), and deterministic overload admission.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -18,54 +15,27 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "macro/baselines.hpp"
 #include "macro/model_io.hpp"
+#include "serve/client.hpp"
 #include "serve/evaluator.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/reload.hpp"
 #include "serve/server.hpp"
 #include "serve/tmb.hpp"
+#include "serve_helpers.hpp"
 #include "sta/timing_graph.hpp"
-#include "test_helpers.hpp"
 
 namespace tmm {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique scratch directory, removed on scope exit.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "tmm_serve_XXXXXX").string();
-    char* p = ::mkdtemp(tmpl.data());
-    EXPECT_NE(p, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string str(const char* leaf = nullptr) const {
-    return leaf ? (path / leaf).string() : path.string();
-  }
-};
-
-MacroModel make_model(const char* name, std::uint64_t seed = 21) {
-  const Design d = test::make_tiny_design(name, seed);
-  const TimingGraph flat = build_timing_graph(d);
-  MacroModel m = generate_itimerm_model(flat);
-  m.design_name = name;
-  return m;
-}
+using namespace test;
 
 BoundarySnapshot snapshot_of(const TimingGraph& g,
                              const BoundaryConstraints& bc) {
@@ -85,22 +55,6 @@ bool bit_identical(const BoundarySnapshot& a, const BoundarySnapshot& b) {
   };
   return a.num_ports == b.num_ports && eq(a.slew, b.slew) &&
          eq(a.at, b.at) && eq(a.rat, b.rat) && eq(a.slack, b.slack);
-}
-
-BoundaryConstraints constraints_for(const MacroModel& m, std::uint64_t seed) {
-  Rng rng(seed);
-  return random_constraints(m.graph.primary_inputs().size(),
-                            m.graph.primary_outputs().size(), {}, rng);
-}
-
-fault::ErrorCode code_of(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const fault::FlowError& e) {
-    return e.code();
-  }
-  ADD_FAILURE() << "expected FlowError";
-  return fault::ErrorCode::kOk;
 }
 
 // ------------------------------------------------------------------ tmb
@@ -292,16 +246,6 @@ TEST(ResultCache, ZeroCapacityDisablesCaching) {
 
 // ------------------------------------------------------------ evaluator
 
-struct ServeFixture {
-  TempDir dir;
-  serve::ModelRegistry reg;
-  ServeFixture() {
-    serve::write_tmb_file(make_model("blk", 31), dir.str("blk.tmb"));
-    reg.load_directory(dir.str());
-  }
-  const MacroModel& model() const { return reg.find("blk")->model; }
-};
-
 TEST(Evaluator, UnknownModelAndArityMismatchAreTypedErrors) {
   const ServeFixture fx;
   serve::Evaluator eval(fx.reg, {});
@@ -448,27 +392,13 @@ TEST(Protocol, RejectsMalformedRequests) {
 
 // --------------------------------------------------------------- server
 
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  return fd;
-}
-
 // The TSan target: 8 client threads against a 4-worker server sharing
 // one Evaluator/cache/registry; every response must be bit-identical to
 // the offline Sta answer computed up front.
 TEST(Server, ConcurrentClientsGetBitIdenticalResponses) {
   const ServeFixture fx;
   serve::Evaluator eval(fx.reg, {});
-  serve::Server server(eval, {.tcp_port = 0, .num_threads = 4,
-                              .batch_max = 8});
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, {.tcp_port = 0, .num_threads = 4, .batch_max = 8});
 
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 24;
@@ -485,8 +415,7 @@ TEST(Server, ConcurrentClientsGetBitIdenticalResponses) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const int fd = connect_loopback(server.bound_port());
-      std::string frame;
+      const int fd = live.connect();
       for (int i = 0; i < kRequestsPerClient; ++i) {
         serve::Request req;
         req.request_id =
@@ -494,9 +423,7 @@ TEST(Server, ConcurrentClientsGetBitIdenticalResponses) {
         const int key = (c + i) % kKeys;
         req.model = "blk";
         req.bc = key_bc[key];
-        serve::write_frame(fd, serve::encode_request(req));
-        ASSERT_TRUE(serve::read_frame(fd, frame));
-        const serve::Response resp = serve::decode_response(frame);
+        const serve::Response resp = serve::call(fd, req);
         EXPECT_EQ(resp.request_id, req.request_id);
         if (resp.status != serve::ResponseStatus::kOk)
           errors.fetch_add(1);
@@ -507,12 +434,11 @@ TEST(Server, ConcurrentClientsGetBitIdenticalResponses) {
     });
   }
   for (auto& t : clients) t.join();
-  server.stop();
-  serving.join();
+  live.stop();
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  const serve::Server::Stats st = server.stats();
+  const serve::Server::Stats st = live.server.stats();
   EXPECT_EQ(st.requests, static_cast<std::uint64_t>(kClients) *
                              kRequestsPerClient);
   EXPECT_EQ(st.responses_ok, st.requests);
@@ -524,12 +450,9 @@ TEST(Server, ConcurrentClientsGetBitIdenticalResponses) {
 TEST(Server, BadFramesGetErrorResponsesOnALiveConnection) {
   const ServeFixture fx;
   serve::Evaluator eval(fx.reg, {});
-  serve::Server server(eval, {.tcp_port = 0, .num_threads = 1});
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, {.tcp_port = 0, .num_threads = 1});
 
-  const int fd = connect_loopback(server.bound_port());
-  std::string frame;
+  const int fd = live.connect();
 
   // Unknown model: typed error, connection stays up.
   serve::Request req;
@@ -537,12 +460,10 @@ TEST(Server, BadFramesGetErrorResponsesOnALiveConnection) {
   req.model = "ghost";
   Rng rng(6);
   req.bc = random_constraints(1, 1, {}, rng);
-  serve::write_frame(fd, serve::encode_request(req));
-  ASSERT_TRUE(serve::read_frame(fd, frame));
-  EXPECT_EQ(serve::decode_response(frame).status,
-            serve::ResponseStatus::kUnknownModel);
+  EXPECT_EQ(serve::call(fd, req).status, serve::ResponseStatus::kUnknownModel);
 
   // Garbage frame: kBadRequest, connection still stays up.
+  std::string frame;
   serve::write_frame(fd, "this is not a TMRQ frame");
   ASSERT_TRUE(serve::read_frame(fd, frame));
   EXPECT_EQ(serve::decode_response(frame).status,
@@ -554,16 +475,13 @@ TEST(Server, BadFramesGetErrorResponsesOnALiveConnection) {
   good.request_id = 2;
   good.model = "blk";
   good.bc = constraints_for(m, 9);
-  serve::write_frame(fd, serve::encode_request(good));
-  ASSERT_TRUE(serve::read_frame(fd, frame));
-  const serve::Response resp = serve::decode_response(frame);
+  const serve::Response resp = serve::call(fd, good);
   EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);
   EXPECT_TRUE(bit_identical(resp.snap, snapshot_of(m.graph, good.bc)));
 
   ::close(fd);
-  server.stop();
-  serving.join();
-  EXPECT_EQ(server.stats().request_errors, 2u);
+  live.stop();
+  EXPECT_EQ(live.server.stats().request_errors, 2u);
 }
 
 TEST(Server, UnixSocketServesAndUnlinksOnShutdown) {
@@ -574,34 +492,89 @@ TEST(Server, UnixSocketServesAndUnlinksOnShutdown) {
     serve::ServerOptions opt;
     opt.unix_path = sock;
     opt.num_threads = 2;
-    serve::Server server(eval, opt);
-    server.start();
-    std::thread serving([&] { server.serve(); });
+    LiveServer live(eval, opt);
     ASSERT_TRUE(fs::exists(sock));
 
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
+    const int fd = serve::connect_endpoint(serve::unix_endpoint(sock));
     serve::Request req;
     req.model = "blk";
     req.bc = constraints_for(fx.model(), 11);
-    serve::write_frame(fd, serve::encode_request(req));
-    std::string frame;
-    ASSERT_TRUE(serve::read_frame(fd, frame));
-    EXPECT_EQ(serve::decode_response(frame).status,
-              serve::ResponseStatus::kOk);
+    EXPECT_EQ(serve::call(fd, req).status, serve::ResponseStatus::kOk);
     ::close(fd);
-
-    server.stop();
-    serving.join();
   }
   // Destroying the server removes the socket file: stale socket files
   // would break the next server's bind.
   EXPECT_FALSE(fs::exists(sock));
+}
+
+TEST(Server, TcpPortAbove65535IsAConfigError) {
+  const ServeFixture fx;
+  serve::Evaluator eval(fx.reg, {});
+  for (const int port : {65536, 70000}) {
+    serve::Server server(eval, {.tcp_port = port, .num_threads = 1});
+    EXPECT_EQ(code_of([&] { server.start(); }), fault::ErrorCode::kConfig)
+        << port;
+  }
+}
+
+// --------------------------------------------------------------- client
+
+TEST(ServeClient, DigitsAreTcpPortsAndAnythingElseAUnixPath) {
+  EXPECT_EQ(serve::parse_endpoint("8080").tcp_port, 8080);
+  EXPECT_TRUE(serve::parse_endpoint("65535").unix_path.empty());
+  EXPECT_EQ(serve::parse_endpoint("/tmp/s.sock").unix_path, "/tmp/s.sock");
+  EXPECT_EQ(serve::parse_endpoint("80a").unix_path, "80a");
+  for (const std::string& bad :
+       std::vector<std::string>{"", "0", "65536", "70000",
+                                "123456789012345678901234",
+                                std::string(200, 'p')})
+    EXPECT_EQ(code_of([&] { static_cast<void>(serve::parse_endpoint(bad)); }),
+              fault::ErrorCode::kConfig)
+        << "'" << bad << "'";
+}
+
+TEST(ServeClient, BackoffStaysInJitterBandAndStopsAtCap) {
+  Rng rng(7);
+  serve::Backoff backoff(rng, 0.01, 0.08);
+  for (int round = 0; round < 2; ++round) {
+    double cap_n = 0.01;
+    for (int n = 0; n < 10; ++n) {
+      const double d = backoff.next_s();
+      EXPECT_GE(d, cap_n / 2) << n;
+      EXPECT_LE(d, cap_n) << n;
+      cap_n = std::min(cap_n * 2, 0.08);
+    }
+    backoff.reset();  // the second round starts from the base again
+  }
+}
+
+TEST(ServeClient, CallRoundTripsOverUnixAndTcpAndEofIsAnError) {
+  const ServeFixture fx;
+  serve::Evaluator eval(fx.reg, {});
+  serve::Request req;
+  req.model = "blk";
+  req.bc = constraints_for(fx.model(), 13);
+  const BoundarySnapshot expected = snapshot_of(fx.model().graph, req.bc);
+  serve::ServerOptions unix_opt;
+  unix_opt.unix_path = fx.dir.str("c.sock");
+  for (const serve::ServerOptions& opt :
+       {unix_opt, serve::ServerOptions{.tcp_port = 0}}) {
+    LiveServer live(eval, opt);
+    const int fd = serve::connect_endpoint(
+        opt.unix_path.empty() ? serve::tcp_endpoint(live.server.bound_port())
+                              : serve::unix_endpoint(opt.unix_path));
+    const serve::Response resp = serve::call(fd, req);
+    EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);
+    EXPECT_TRUE(bit_identical(resp.snap, expected));
+    // A drained server closes the connection: the next call sees EOF.
+    live.stop();
+    EXPECT_EQ(code_of([&] { serve::call(fd, req); }), fault::ErrorCode::kIo);
+    ::close(fd);
+  }
+  EXPECT_EQ(code_of([&] {
+              serve::connect_endpoint(serve::unix_endpoint(fx.dir.str("no")));
+            }),
+            fault::ErrorCode::kIo);
 }
 
 // --------------------------------------------------------------- reload
@@ -787,20 +760,15 @@ TEST(Server, ReloadOverWireSwapsGenerationLive) {
   serve::RegistryManager mgr(fx.dir.str());
   mgr.load_initial();
   serve::Evaluator eval(mgr, {});
-  serve::Server server(eval, {.tcp_port = 0, .num_threads = 2});
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, {.tcp_port = 0, .num_threads = 2});
 
-  const int fd = connect_loopback(server.bound_port());
-  std::string frame;
+  const int fd = live.connect();
   const auto ask = [&](std::uint64_t id) {
     serve::Request req;
     req.request_id = id;
     req.model = "blk";
     req.bc = fx.bc;
-    serve::write_frame(fd, serve::encode_request(req));
-    EXPECT_TRUE(serve::read_frame(fd, frame));
-    return serve::decode_response(frame);
+    return serve::call(fd, req);
   };
 
   const serve::Response before = ask(1);
@@ -813,9 +781,7 @@ TEST(Server, ReloadOverWireSwapsGenerationLive) {
   serve::Request reload;
   reload.request_id = 2;
   reload.kind = serve::RequestKind::kReload;
-  serve::write_frame(fd, serve::encode_request(reload));
-  ASSERT_TRUE(serve::read_frame(fd, frame));
-  const serve::Response rr = serve::decode_response(frame);
+  const serve::Response rr = serve::call(fd, reload);
   EXPECT_EQ(rr.status, serve::ResponseStatus::kOk);
   EXPECT_TRUE(rr.admin);
   EXPECT_NE(rr.text.find("\"ok\": true"), std::string::npos) << rr.text;
@@ -832,15 +798,44 @@ TEST(Server, ReloadOverWireSwapsGenerationLive) {
   serve::Request health;
   health.request_id = 4;
   health.kind = serve::RequestKind::kHealth;
-  serve::write_frame(fd, serve::encode_request(health));
-  ASSERT_TRUE(serve::read_frame(fd, frame));
-  const serve::Response hr = serve::decode_response(frame);
+  const serve::Response hr = serve::call(fd, health);
   EXPECT_NE(hr.text.find("\"generation\": 2"), std::string::npos) << hr.text;
   EXPECT_NE(hr.text.find("\"reloads_ok\": 1"), std::string::npos) << hr.text;
 
   ::close(fd);
-  server.stop();
-  serving.join();
+  live.stop();
+}
+
+// A fixed registry is a one-generation manager: a reload has no
+// directory to load from, answers ok:false with the load diagnostic,
+// and the same generation keeps serving bit-identically.
+TEST(Evaluator, FixedRegistryReloadAnswersNotOkAndKeepsServing) {
+  const ServeFixture fx;
+  serve::Evaluator eval(fx.reg, {});
+  LiveServer live(eval, {.tcp_port = 0, .num_threads = 1});
+  const int fd = live.connect();
+  serve::Request req;
+  req.model = "blk";
+  req.bc = constraints_for(fx.model(), 17);
+  req.no_cache = true;  // both answers come from the STA, not the cache
+  const serve::Response before = serve::call(fd, req);
+  ASSERT_EQ(before.status, serve::ResponseStatus::kOk);
+
+  serve::Request reload;
+  reload.kind = serve::RequestKind::kReload;
+  const serve::Response rr = serve::call(fd, reload);
+  EXPECT_EQ(rr.status, serve::ResponseStatus::kOk);
+  EXPECT_NE(rr.text.find("\"ok\": false"), std::string::npos) << rr.text;
+  EXPECT_NE(rr.text.find("cannot read model directory"), std::string::npos)
+      << rr.text;
+
+  const serve::Response after = serve::call(fd, req);
+  EXPECT_EQ(after.status, serve::ResponseStatus::kOk);
+  EXPECT_TRUE(bit_identical(after.snap, before.snap));
+  EXPECT_EQ(eval.manager().current().get(), &fx.reg);
+  EXPECT_EQ(eval.manager().counters().reload_failures, 1u);
+  ::close(fd);
+  live.stop();
 }
 
 // ------------------------------------------------------------ admission
@@ -857,11 +852,9 @@ TEST(Server, OverloadShedsBeyondInflightBudgetDeterministically) {
   opt.num_threads = 1;
   opt.batch_max = 16;
   opt.max_inflight = 2;
-  serve::Server server(eval, opt);
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, opt);
 
-  const int fd = connect_loopback(server.bound_port());
+  const int fd = live.connect();
   constexpr int kBurst = 16;
   std::string wire;
   for (int i = 0; i < kBurst; ++i) {
@@ -891,14 +884,13 @@ TEST(Server, OverloadShedsBeyondInflightBudgetDeterministically) {
       ++other;
   }
   ::close(fd);
-  server.stop();
-  serving.join();
+  live.stop();
 
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(overloaded, 14);
   EXPECT_EQ(other, 0);
-  EXPECT_EQ(server.stats().shed_overload, 14u);
-  EXPECT_EQ(server.stats().responses_ok, 2u);
+  EXPECT_EQ(live.server.stats().shed_overload, 14u);
+  EXPECT_EQ(live.server.stats().responses_ok, 2u);
 }
 
 }  // namespace

@@ -5,47 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include "analysis/serve_lint.hpp"
 #include "fault/fault.hpp"
-#include "macro/baselines.hpp"
 #include "serve/tmb.hpp"
-#include "sta/timing_graph.hpp"
-#include "test_helpers.hpp"
+#include "serve_helpers.hpp"
 
 namespace tmm {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "tmm_slint_XXXXXX").string();
-    char* p = ::mkdtemp(tmpl.data());
-    EXPECT_NE(p, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string str(const char* leaf = nullptr) const {
-    return leaf ? (path / leaf).string() : path.string();
-  }
-};
-
-MacroModel make_model(const char* name, std::uint64_t seed = 21) {
-  const Design d = test::make_tiny_design(name, seed);
-  const TimingGraph flat = build_timing_graph(d);
-  MacroModel m = generate_itimerm_model(flat);
-  m.design_name = name;
-  return m;
-}
+using namespace test;
 
 std::uint32_t read_u32(const std::string& image, std::size_t off) {
   std::uint32_t v;
@@ -117,13 +88,11 @@ TEST(ServeLint, BadPortOrdinalsAreParseErrors) {
     std::string image = clean;
     std::memcpy(image.data() + c.at, &c.ordinal, sizeof c.ordinal);
     restamp_crc(image);
-    try {
-      static_cast<void>(serve::unpack_model(image, "ordinal.tmb"));
-      ADD_FAILURE() << c.what << ": expected FlowError";
-    } catch (const fault::FlowError& e) {
-      EXPECT_EQ(e.code(), fault::ErrorCode::kParse) << c.what << ": "
-                                                     << e.what();
-    }
+    EXPECT_EQ(code_of([&] {
+                static_cast<void>(serve::unpack_model(image, "ordinal.tmb"));
+              }),
+              fault::ErrorCode::kParse)
+        << c.what;
   }
 }
 

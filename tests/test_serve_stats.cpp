@@ -6,8 +6,6 @@
 // plus the dump-on-fault hook.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -15,50 +13,30 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "macro/baselines.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sliding_window.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
 #include "serve/tmb.hpp"
-#include "sta/timing_graph.hpp"
-#include "test_helpers.hpp"
+#include "serve_helpers.hpp"
 
 namespace tmm {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace test;
 
 constexpr std::uint64_t kSec = 1'000'000;  // fake-clock microseconds
-
-/// Unique scratch directory, removed on scope exit.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "tmm_stats_XXXXXX").string();
-    char* p = ::mkdtemp(tmpl.data());
-    EXPECT_NE(p, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string str(const char* leaf = nullptr) const {
-    return leaf ? (path / leaf).string() : path.string();
-  }
-};
 
 /// Anchor-scan a rendered stats JSON for `"key": <number>` after the
 /// given sequence of section anchors (e.g. {"global", "10s"}). The
@@ -79,16 +57,6 @@ double json_value_after(const std::string& json,
   EXPECT_NE(pos, std::string::npos) << "missing key " << key;
   if (pos == std::string::npos) return -1.0;
   return std::strtod(json.c_str() + pos + quoted_key.size(), nullptr);
-}
-
-fault::ErrorCode code_of(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const fault::FlowError& e) {
-    return e.code();
-  }
-  ADD_FAILURE() << "expected FlowError";
-  return fault::ErrorCode::kOk;
 }
 
 // ------------------------------------------------------ latency buckets
@@ -473,48 +441,6 @@ TEST(ServeStats, HealthJsonReportsDrainingAndModelCounts) {
 
 // ------------------------------------------------- live admin channel
 
-MacroModel make_model(const char* name, std::uint64_t seed = 21) {
-  const Design d = test::make_tiny_design(name, seed);
-  const TimingGraph flat = build_timing_graph(d);
-  MacroModel m = generate_itimerm_model(flat);
-  m.design_name = name;
-  return m;
-}
-
-BoundaryConstraints constraints_for(const MacroModel& m, std::uint64_t seed) {
-  Rng rng(seed);
-  return random_constraints(m.graph.primary_inputs().size(),
-                            m.graph.primary_outputs().size(), {}, rng);
-}
-
-struct ServeFixture {
-  TempDir dir;
-  serve::ModelRegistry reg;
-  ServeFixture() {
-    serve::write_tmb_file(make_model("blk", 31), dir.str("blk.tmb"));
-    reg.load_directory(dir.str());
-  }
-  const MacroModel& model() const { return reg.find("blk")->model; }
-};
-
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  return fd;
-}
-
-serve::Response ask(int fd, const serve::Request& req) {
-  serve::write_frame(fd, serve::encode_request(req));
-  std::string frame;
-  EXPECT_TRUE(serve::read_frame(fd, frame));
-  return serve::decode_response(frame);
-}
-
 TEST(ServeAdmin, StatsHealthAndFlightDumpAnswerOverTheWire) {
   obs::reset_flight_recorder();
   const ServeFixture fx;
@@ -523,23 +449,21 @@ TEST(ServeAdmin, StatsHealthAndFlightDumpAnswerOverTheWire) {
   opt.tcp_port = 0;
   opt.num_threads = 2;
   opt.flight_capacity = 32;
-  serve::Server server(eval, opt);
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, opt);
 
-  const int fd = connect_loopback(server.bound_port());
+  const int fd = live.connect();
   for (int i = 0; i < 5; ++i) {
     serve::Request req;
     req.request_id = i;
     req.model = "blk";
     req.bc = constraints_for(fx.model(), 7);  // same key: hits after cold
-    EXPECT_EQ(ask(fd, req).status, serve::ResponseStatus::kOk);
+    EXPECT_EQ(serve::call(fd, req).status, serve::ResponseStatus::kOk);
   }
 
   serve::Request stats;
   stats.request_id = 100;
   stats.kind = serve::RequestKind::kStats;
-  const serve::Response stats_resp = ask(fd, stats);
+  const serve::Response stats_resp = serve::call(fd, stats);
   EXPECT_EQ(stats_resp.status, serve::ResponseStatus::kOk);
   EXPECT_TRUE(stats_resp.admin);
   EXPECT_EQ(json_value_after(stats_resp.text, {"global", "10s"}, "count"),
@@ -553,27 +477,26 @@ TEST(ServeAdmin, StatsHealthAndFlightDumpAnswerOverTheWire) {
 
   serve::Request health;
   health.kind = serve::RequestKind::kHealth;
-  const serve::Response health_resp = ask(fd, health);
+  const serve::Response health_resp = serve::call(fd, health);
   EXPECT_TRUE(health_resp.admin);
   EXPECT_NE(health_resp.text.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_EQ(json_value_after(health_resp.text, {}, "models_loaded"), 1.0);
 
   serve::Request flight;
   flight.kind = serve::RequestKind::kFlightDump;
-  const serve::Response flight_resp = ask(fd, flight);
+  const serve::Response flight_resp = serve::call(fd, flight);
   EXPECT_TRUE(flight_resp.admin);
   EXPECT_NE(flight_resp.text.find("\"model\": \"blk\""), std::string::npos);
   EXPECT_GE(json_value_after(flight_resp.text, {}, "records_total"), 5.0);
 
   // Admin traffic stays out of the evaluate statistics.
-  const serve::Response stats2 = ask(fd, stats);
+  const serve::Response stats2 = serve::call(fd, stats);
   EXPECT_EQ(json_value_after(stats2.text, {"lifetime"}, "requests"), 5.0);
 
   ::close(fd);
-  server.stop();
-  serving.join();
-  ASSERT_NE(server.serve_stats(), nullptr);
-  EXPECT_EQ(server.serve_stats()->slow_total(), 0u);
+  live.stop();
+  ASSERT_NE(live.server.serve_stats(), nullptr);
+  EXPECT_EQ(live.server.serve_stats()->slow_total(), 0u);
   obs::set_flight_recorder_enabled(false);
   obs::reset_flight_recorder();
 }
@@ -587,16 +510,14 @@ TEST(ServeAdmin, FaultFiringDumpsAParseableFlightRecord) {
   opt.num_threads = 1;
   opt.flight_capacity = 16;
   opt.dump_dir = fx.dir.str();
-  serve::Server server(eval, opt);
-  server.start();
-  std::thread serving([&] { server.serve(); });
+  LiveServer live(eval, opt);
 
-  const int fd = connect_loopback(server.bound_port());
+  const int fd = live.connect();
   serve::Request req;
   req.request_id = 1;
   req.model = "blk";
   req.bc = constraints_for(fx.model(), 3);
-  EXPECT_EQ(ask(fd, req).status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(serve::call(fd, req).status, serve::ResponseStatus::kOk);
 
   // Arm the parse-request site: the next frame throws inside decode
   // (an injected fault surfaces as kInternalError, not kBadRequest),
@@ -604,7 +525,7 @@ TEST(ServeAdmin, FaultFiringDumpsAParseableFlightRecord) {
   // the error surfaces.
   ASSERT_TRUE(fault::arm("serve.parse_request", 1).ok());
   req.request_id = 2;
-  EXPECT_EQ(ask(fd, req).status, serve::ResponseStatus::kInternalError);
+  EXPECT_EQ(serve::call(fd, req).status, serve::ResponseStatus::kInternalError);
   EXPECT_TRUE(fault::fired());
   fault::disarm();
 
@@ -617,8 +538,7 @@ TEST(ServeAdmin, FaultFiringDumpsAParseableFlightRecord) {
   EXPECT_NE(body.str().find("\"request_id\": 1"), std::string::npos);
 
   ::close(fd);
-  server.stop();
-  serving.join();
+  live.stop();
   obs::set_flight_recorder_enabled(false);
   obs::reset_flight_recorder();
 }

@@ -79,7 +79,7 @@ run_tsan() {
   cmake --build "$ROOT/build-check-tsan" -j"$JOBS" --target tmm_tests
   TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-check-tsan/tests/tmm_tests" \
-    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
+    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
 }
 
 run_tidy() {
@@ -130,7 +130,7 @@ run_lockorder() {
   # real mutexes fails the suite (the deliberate inversions in
   # LockOrder.* reset their observations).
   "$ROOT/build-check-lockorder/tests/tmm_tests" \
-    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:StaGolden*:Server*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
+    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:StaGolden*:Server*:ServeClient*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
   # Self-audit gate: dump the registered lock hierarchy and fail on any
   # cycle (exit 3).
   "$ROOT/build-check-lockorder/tools/tmm" lint --concurrency

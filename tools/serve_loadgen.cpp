@@ -12,11 +12,11 @@
 // same Sta engine), so the bench doubles as the end-to-end correctness
 // gate the CI smoke job runs.
 //
-// Client robustness: connects and requests retry with capped
-// exponential backoff + jitter on connection-refused, kShuttingDown
-// and kOverloaded — the server's shed responses are flow control, not
-// failures. Retries are counted in the JSON report
-// (connect_retries / response_retries summaries).
+// Client robustness: connects and requests retry with the shared
+// capped exponential backoff + jitter (serve/client.hpp) on
+// connection-refused, kShuttingDown and kOverloaded — the server's shed
+// responses are flow control, not failures. Retries are counted in the
+// JSON report (connect_retries / response_retries summaries).
 //
 // --soak S replaces the cold/warm sweeps with a saturation soak: each
 // client pipelines --burst frames per write for S seconds, a mid-run
@@ -33,15 +33,12 @@
 // mismatch (soak: any malformed response, bit mismatch, or failed
 // reload); 2 bad usage.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +47,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "serve/client.hpp"
 #include "serve/evaluator.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -61,8 +59,7 @@ namespace {
 using namespace tmm;
 
 struct Options {
-  std::string socket_path;
-  int port = -1;
+  serve::Endpoint endpoint;  ///< --socket path or --port N
   std::string model_dir;
   std::size_t threads = 8;
   double seconds = 3.0;
@@ -84,19 +81,20 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options opt;
+  bool have_endpoint = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage_error("missing value for " + a);
       return argv[++i];
     };
-    if (a == "--socket")
-      opt.socket_path = next();
-    else if (a == "--port")
-      opt.port = std::stoi(next());
-    else if (a == "--model-dir")
+    if (a == "--socket" || a == "--port") {
+      opt.endpoint = a == "--socket" ? serve::unix_endpoint(next())
+                                     : serve::tcp_endpoint(std::stol(next()));
+      have_endpoint = true;
+    } else if (a == "--model-dir")
       opt.model_dir = next();
     else if (a == "--threads")
       opt.threads = std::stoul(next());
@@ -117,41 +115,14 @@ Options parse(int argc, char** argv) {
     else
       usage_error("unknown option " + a);
   }
-  if (opt.socket_path.empty() && opt.port < 0)
-    usage_error("--socket or --port is required");
+  if (!have_endpoint) usage_error("--socket or --port is required");
   if (opt.model_dir.empty()) usage_error("--model-dir is required");
   if (opt.threads == 0) usage_error("--threads must be >= 1");
   if (opt.warm_keys == 0) usage_error("--warm-keys must be >= 1");
   if (opt.burst == 0) usage_error("--burst must be >= 1");
   return opt;
-}
-
-int connect_server(const Options& opt) {
-  int fd = -1;
-  if (!opt.socket_path.empty()) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, opt.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      ::close(fd);
-      return -1;
-    }
-  } else {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(opt.port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  return fd;
+} catch (const std::exception& e) {  // bad number, bad endpoint
+  usage_error(e.what());
 }
 
 /// Client-wide retry tallies, surfaced as report summaries so a CI run
@@ -159,37 +130,17 @@ int connect_server(const Options& opt) {
 std::atomic<std::uint64_t> g_connect_retries{0};
 std::atomic<std::uint64_t> g_response_retries{0};
 
-/// Capped exponential backoff with full jitter: the n-th delay is
-/// uniform in [cap_n/2, cap_n] where cap_n = min(base * 2^n, cap).
-/// Shared by the connect-refused and the kShuttingDown/kOverloaded
-/// retry paths so both decorrelate the same way under contention.
-struct Backoff {
-  explicit Backoff(Rng& rng, double base_s = 0.01, double cap_s = 0.5)
-      : rng_(rng), base_s_(base_s), cap_s_(cap_s) {}
-
-  void sleep_next() {
-    cur_s_ = cur_s_ == 0.0 ? base_s_ : std::min(cur_s_ * 2.0, cap_s_);
-    const double jittered = cur_s_ * rng_.uniform(0.5, 1.0);
-    std::this_thread::sleep_for(std::chrono::duration<double>(jittered));
-  }
-  void reset() noexcept { cur_s_ = 0.0; }
-
- private:
-  Rng& rng_;
-  double base_s_;
-  double cap_s_;
-  double cur_s_ = 0.0;
-};
-
-/// connect_server with up to `attempts` tries, backing off between
-/// them — rides out a server still binding or briefly refusing during
+/// Connect with up to `attempts` tries, backing off between them —
+/// rides out a server still binding or briefly refusing during
 /// restart. -1 only after every attempt failed.
 int connect_with_retry(const Options& opt, Rng& rng, int attempts = 8) {
-  Backoff backoff(rng, /*base_s=*/0.05, /*cap_s=*/1.0);
+  serve::Backoff backoff(rng, /*base_s=*/0.05, /*cap_s=*/1.0);
   for (int attempt = 0;; ++attempt) {
-    const int fd = connect_server(opt);
-    if (fd >= 0) return fd;
-    if (attempt + 1 >= attempts) return -1;
+    try {
+      return serve::connect_endpoint(opt.endpoint);
+    } catch (const std::exception&) {
+      if (attempt + 1 >= attempts) return -1;
+    }
     g_connect_retries.fetch_add(1);
     backoff.sleep_next();
   }
@@ -203,11 +154,15 @@ BoundaryConstraints make_constraints(const serve::RegistryEntry& entry,
   return random_constraints(entry.num_pis, entry.num_pos, {}, rng);
 }
 
-bool bit_identical(const std::vector<double>& a,
-                   const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+bool bit_identical(const BoundarySnapshot& a, const BoundarySnapshot& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  return same(a.slew, b.slew) && same(a.at, b.at) && same(a.rat, b.rat) &&
+         same(a.slack, b.slack);
 }
 
 struct PhaseResult {
@@ -257,7 +212,6 @@ PhaseResult run_phase(const Options& opt, const serve::ModelRegistry& registry,
     }
     serve::Evaluator::Scratch scratch;
     BoundarySnapshot expected;
-    std::string frame;
     while (std::chrono::steady_clock::now() < deadline) {
       const std::uint64_t index = next_index.fetch_add(1);
       if (opt.qps > 0) {
@@ -287,7 +241,7 @@ PhaseResult run_phase(const Options& opt, const serve::ModelRegistry& registry,
       // is end-to-end (first send to final answer, backoff included).
       const auto sent = std::chrono::steady_clock::now();
       constexpr int kAttempts = 5;
-      Backoff backoff(rng);
+      serve::Backoff backoff(rng, /*base_s=*/0.01, /*cap_s=*/0.5);
       serve::Response resp;
       bool answered = false;
       for (int attempt = 0; attempt < kAttempts; ++attempt) {
@@ -300,15 +254,9 @@ PhaseResult run_phase(const Options& opt, const serve::ModelRegistry& registry,
           if (fd < 0) continue;
         }
         try {
-          serve::write_frame(fd, serve::encode_request(req));
-          if (!serve::read_frame(fd, frame)) {
-            ::close(fd);  // server drained this connection under us
-            fd = -1;
-            continue;
-          }
-          resp = serve::decode_response(frame);
+          resp = serve::call(fd, req);
         } catch (const std::exception&) {
-          if (fd >= 0) ::close(fd);
+          ::close(fd);  // e.g. the server drained this connection under us
           fd = -1;
           continue;
         }
@@ -341,11 +289,7 @@ PhaseResult run_phase(const Options& opt, const serve::ModelRegistry& registry,
           errors.fetch_add(1);
           continue;
         }
-        if (!bit_identical(resp.snap.slew, expected.slew) ||
-            !bit_identical(resp.snap.at, expected.at) ||
-            !bit_identical(resp.snap.rat, expected.rat) ||
-            !bit_identical(resp.snap.slack, expected.slack))
-          mismatches.fetch_add(1);
+        if (!bit_identical(resp.snap, expected)) mismatches.fetch_add(1);
       }
     }
     if (fd >= 0) ::close(fd);
@@ -398,22 +342,19 @@ void report_phase(bench::JsonReport& report, const char* impl,
                   {"latency_p99_us", p99}});
 }
 
-/// One-shot kStats query on a fresh connection; empty text on failure.
-std::string fetch_stats_json(const Options& opt) {
-  const int fd = connect_server(opt);
+/// One-shot admin query on a fresh connection; empty text on failure.
+std::string admin_text(const Options& opt, serve::RequestKind kind) {
+  Rng rng(opt.seed ^ 0x5e10adull);
+  const int fd = connect_with_retry(opt, rng);
   if (fd < 0) return {};
   std::string text;
   try {
     serve::Request req;
     req.request_id = 1;
-    req.kind = serve::RequestKind::kStats;
-    serve::write_frame(fd, serve::encode_request(req));
-    std::string frame;
-    if (serve::read_frame(fd, frame)) {
-      const serve::Response resp = serve::decode_response(frame);
-      if (resp.status == serve::ResponseStatus::kOk && resp.admin)
-        text = resp.text;
-    }
+    req.kind = kind;
+    const serve::Response resp = serve::call(fd, req);
+    if (resp.status == serve::ResponseStatus::kOk && resp.admin)
+      text = resp.text;
   } catch (const std::exception&) {
     text.clear();
   }
@@ -442,7 +383,7 @@ double stats_window_value(const std::string& json, const char* key) {
 /// client-side numbers. Returns false when the channel is unavailable.
 bool report_stats_phase(bench::JsonReport& report, const char* impl,
                         const Options& opt) {
-  const std::string json = fetch_stats_json(opt);
+  const std::string json = admin_text(opt, serve::RequestKind::kStats);
   if (json.empty()) {
     std::fprintf(stderr,
                  "serve_loadgen: stats channel unavailable after %s phase\n",
@@ -489,30 +430,12 @@ struct SoakResult {
 /// the JSON answer (anchor scan; the shape is produced by the server's
 /// kReload branch and covered by its tests).
 void fire_reload(const Options& opt, SoakResult& out) {
-  Rng rng(opt.seed ^ 0x5e10adull);
-  const int fd = connect_with_retry(opt, rng);
-  if (fd < 0) return;
-  try {
-    serve::Request req;
-    req.request_id = 1;
-    req.kind = serve::RequestKind::kReload;
-    serve::write_frame(fd, serve::encode_request(req));
-    std::string frame;
-    if (serve::read_frame(fd, frame)) {
-      const serve::Response resp = serve::decode_response(frame);
-      if (resp.status == serve::ResponseStatus::kOk && resp.admin) {
-        out.reload_ok = resp.text.find("\"ok\": true") != std::string::npos;
-        const std::string anchor = "\"swap_us\": ";
-        const std::size_t k = resp.text.find(anchor);
-        if (k != std::string::npos)
-          out.reload_swap_us =
-              std::strtod(resp.text.c_str() + k + anchor.size(), nullptr);
-      }
-    }
-  } catch (const std::exception&) {
-    // Leaves reload_ok false; the caller fails the run.
-  }
-  ::close(fd);
+  const std::string text = admin_text(opt, serve::RequestKind::kReload);
+  out.reload_ok = text.find("\"ok\": true") != std::string::npos;
+  const std::string anchor = "\"swap_us\": ";
+  const std::size_t k = text.find(anchor);
+  if (k != std::string::npos)
+    out.reload_swap_us = std::strtod(text.c_str() + k + anchor.size(), nullptr);
 }
 
 /// Saturation soak: every client pipelines `burst` cold (unique-key)
@@ -609,11 +532,7 @@ SoakResult run_soak(const Options& opt, const serve::ModelRegistry& registry,
               errors.fetch_add(1);
               continue;
             }
-            if (!bit_identical(resp.snap.slew, expected.slew) ||
-                !bit_identical(resp.snap.at, expected.at) ||
-                !bit_identical(resp.snap.rat, expected.rat) ||
-                !bit_identical(resp.snap.slack, expected.slack))
-              mismatches.fetch_add(1);
+            if (!bit_identical(resp.snap, expected)) mismatches.fetch_add(1);
           }
         }
       } catch (const std::exception&) {
@@ -696,6 +615,9 @@ void report_soak(bench::JsonReport& report, SoakResult& r) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
+  // A request written into a connection the server drained must surface
+  // as EPIPE (a retry), not kill the process.
+  std::signal(SIGPIPE, SIG_IGN);
   try {
     serve::ModelRegistry registry;
     registry.load_directory(opt.model_dir);
@@ -711,14 +633,7 @@ int main(int argc, char** argv) {
     eopt.cache_capacity = opt.warm_keys * 4 * registry.size();
     serve::Evaluator verifier(registry, eopt);
 
-    {
-      const int probe = connect_server(opt);
-      if (probe < 0) {
-        std::fprintf(stderr, "serve_loadgen: cannot connect to server\n");
-        return 1;
-      }
-      ::close(probe);
-    }
+    ::close(serve::connect_endpoint(opt.endpoint));  // probe: fail fast
 
     bench::JsonReport report("serve");
     report.set_meta("threads", static_cast<double>(opt.threads));

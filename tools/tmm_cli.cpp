@@ -50,8 +50,8 @@
 //                  (query a live server's admin channel: windowed stats
 //                  JSON by default, or trigger a hot reload with
 //                  --reload; endpoint is a unix socket path or a TCP
-//                  port on 127.0.0.1. --watch reconnects with backoff
-//                  when the server restarts)
+//                  port 1-65535 on 127.0.0.1. --watch reconnects with
+//                  jittered backoff when the server restarts)
 //   tmm export-lib <out.lib> [--early]
 //   tmm lint       <file...>  (.macro files are linted as macro models,
 //                  .tmb files and model directories as serving artifacts,
@@ -105,6 +105,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/reload.hpp"
@@ -115,10 +116,6 @@
 #include "util/log.hpp"
 #include "util/task_pool.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -839,45 +836,6 @@ int cmd_serve(const Args& args) {
   return registry->failures().empty() ? 0 : 3;
 }
 
-/// Connect to a server endpoint: an all-digits endpoint is a TCP port
-/// on 127.0.0.1, anything else a unix socket path.
-int connect_endpoint(const std::string& ep) {
-  int fd = -1;
-  const bool is_port =
-      !ep.empty() && std::all_of(ep.begin(), ep.end(), [](unsigned char c) {
-        return std::isdigit(c) != 0;
-      });
-  if (!is_port) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (ep.size() >= sizeof(addr.sun_path))
-      throw std::runtime_error("socket path too long: " + ep);
-    std::strncpy(addr.sun_path, ep.c_str(), sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0 &&
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
-      return fd;
-  } else {
-    int port = 0;
-    try {
-      port = std::stoi(ep);
-    } catch (const std::exception&) {
-      throw UsageError("stat: endpoint must be a socket path or port, got '" +
-                       ep + "'");
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0 &&
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
-      return fd;
-  }
-  if (fd >= 0) ::close(fd);
-  throw std::runtime_error("cannot connect to " + ep);
-}
-
 int cmd_stat(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error(
@@ -893,50 +851,51 @@ int cmd_stat(const Args& args) {
                                  : args.flight ? serve::RequestKind::kFlightDump
                                  : args.reload ? serve::RequestKind::kReload
                                                : serve::RequestKind::kStats;
-  std::string frame;
+  // Parsed once, up front: a misspelled endpoint (bad path, port out
+  // of range) is a kConfig error, never retried.
+  const serve::Endpoint ep = serve::parse_endpoint(args.positional[0]);
   std::uint64_t id = 1;
   int fd = -1;
   // --watch survives server restarts and generation swaps: on any
-  // socket error the connection is re-established with doubling
-  // backoff (0.1 s .. 5 s cap) instead of exiting on the first EOF.
-  // A misspelled endpoint (UsageError) still fails immediately.
-  double backoff_s = 0.1;
+  // socket error the connection is re-established with jittered
+  // exponential backoff (0.1 s .. 5 s cap, serve/client.hpp) instead of
+  // exiting on the first EOF.
+  // A request written into a connection the server already closed must
+  // surface as EPIPE (a reconnect), not kill the process; a closed
+  // stdout still ends the command through the flush check below.
+  std::signal(SIGPIPE, SIG_IGN);
+  Rng rng(static_cast<std::uint64_t>(::getpid()));
+  serve::Backoff backoff(rng, 0.1, 5.0);
   int consecutive_failures = 0;
   constexpr int kMaxConsecutiveFailures = 60;
   for (;;) {
     try {
-      if (fd < 0) fd = connect_endpoint(args.positional[0]);
+      if (fd < 0) fd = serve::connect_endpoint(ep);
       serve::Request req;
       req.request_id = id++;
       req.kind = kind;
-      serve::write_frame(fd, serve::encode_request(req));
-      if (!serve::read_frame(fd, frame))
-        throw std::runtime_error("server closed the connection");
-      const serve::Response resp = serve::decode_response(frame);
+      const serve::Response resp = serve::call(fd, req);
       if (resp.status != serve::ResponseStatus::kOk)
         throw std::runtime_error(
             std::string("server answered ") +
             serve::response_status_name(resp.status) +
             (resp.error.empty() ? "" : ": " + resp.error));
       std::fputs(resp.text.c_str(), stdout);
-      std::fflush(stdout);
-      backoff_s = 0.1;
+      if (std::fflush(stdout) != 0) return 1;  // the reader went away
+      backoff.reset();
       consecutive_failures = 0;
       if (!args.watch) break;
       std::this_thread::sleep_for(
           std::chrono::duration<double>(std::max(args.interval, 0.1)));
-    } catch (const UsageError&) {
-      if (fd >= 0) ::close(fd);
-      throw;
     } catch (const std::exception& e) {
       if (fd >= 0) ::close(fd);
       fd = -1;
       if (!args.watch || ++consecutive_failures > kMaxConsecutiveFailures)
         throw;
+      const double delay_s = backoff.next_s();
       std::fprintf(stderr, "tmm stat: %s; reconnecting in %.1fs\n", e.what(),
-                   backoff_s);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-      backoff_s = std::min(backoff_s * 2.0, 5.0);
+                   delay_s);
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
     }
   }
   if (fd >= 0) ::close(fd);
