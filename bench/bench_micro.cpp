@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: LUT lookup, full STA propagation (serial and
 // level-parallel), the slew-only filter propagation, GraphSAGE
-// inference, feature extraction, ILM extraction, merging and the
-// incremental TS evaluation loop.
+// inference, feature extraction, ILM extraction, merging, .macro
+// formatting and the incremental TS evaluation loop.
 //
 // Besides the google-benchmark entries, main() directly times the TS
 // loop full vs incremental (`speedup_incremental`) and serial vs
@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "flow/framework.hpp"
 #include "liberty/library_gen.hpp"
+#include "macro/model_io.hpp"
 #include "netlist/design_gen.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -266,6 +267,29 @@ void BM_MergeInsensitivePins(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeInsensitivePins)->Unit(benchmark::kMillisecond);
+
+// The .macro text of one model the size perfbench's generate workload
+// writes: the largest scale-1000 testing design (leon2_iccad_eval)
+// through run_design, with the filter picking the kept pins so that no
+// trained GNN is needed.
+void BM_FormatMacroModel(benchmark::State& state) {
+  static const MacroModel model = [] {
+    FlowConfig cfg;
+    cfg.label_all_remained = true;
+    Framework fw(cfg);
+    const Design d =
+        generate_design(lib(), tau_testing_suite(lib(), 1000)[4].cfg);
+    return fw.run_design(d).model;
+  }();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = macro_model_size_bytes(model);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FormatMacroModel)->Unit(benchmark::kMillisecond);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

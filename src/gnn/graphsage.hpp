@@ -42,6 +42,8 @@ class GnnModel {
   /// Per-node probabilities sigmoid(logit).
   std::vector<float> predict(const GnnGraph& g, const Matrix& x);
 
+  /// Text form, weights at 9 significant digits. Formats into its own
+  /// buffer: the caller's stream precision and flags are left alone.
   void save(std::ostream& os) const;
   /// Malformed or non-finite weight files raise fault::FlowError
   /// (kParse) with `source`:line context.

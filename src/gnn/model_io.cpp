@@ -7,26 +7,34 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string>
 
 #include "fault/token_reader.hpp"
 #include "gnn/graphsage.hpp"
 #include "util/atomic_io.hpp"
+#include "util/text_out.hpp"
 
 namespace tmm {
 
-void GnnModel::save(std::ostream& os) const {
-  os << "gnn " << cfg_.input_dim << ' ' << cfg_.hidden_dim << ' '
-     << cfg_.num_layers << ' ' << static_cast<int>(cfg_.engine) << ' '
-     << cfg_.seed << '\n';
-  os.precision(9);
-  auto& self = const_cast<GnnModel&>(*this);
-  for (Param* p : self.params()) {
-    os << p->value.rows() << ' ' << p->value.cols() << '\n';
-    for (float v : p->value.data()) os << v << ' ';
-    os << '\n';
+namespace {
+
+std::string format_gnn(const GnnModel& model) {
+  const GnnModelConfig& cfg = model.config();
+  util::TextOut out(9);
+  out << "gnn " << cfg.input_dim << ' ' << cfg.hidden_dim << ' '
+      << cfg.num_layers << ' ' << static_cast<int>(cfg.engine) << ' '
+      << cfg.seed << '\n';
+  for (Param* p : const_cast<GnnModel&>(model).params()) {
+    out << p->value.rows() << ' ' << p->value.cols() << '\n';
+    for (float v : p->value.data()) out << v << ' ';
+    out << '\n';
   }
+  return std::move(out).take();
 }
+
+}  // namespace
+
+void GnnModel::save(std::ostream& os) const { os << format_gnn(*this); }
 
 GnnModel GnnModel::load(std::istream& is, std::string source) {
   fault::inject("gnn.load");
@@ -64,9 +72,7 @@ GnnModel load_gnn_file(const std::string& path) {
 
 void save_gnn_file(const GnnModel& model, const std::string& path) {
   fault::inject("gnn.save");
-  std::ostringstream buf;
-  model.save(buf);
-  util::atomic_write_file(path, buf.str()).or_throw("gnn.save");
+  util::atomic_write_file(path, format_gnn(model)).or_throw("gnn.save");
 }
 
 }  // namespace tmm

@@ -2,22 +2,24 @@
 
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/text_out.hpp"
 
 namespace tmm {
 
 namespace {
 
+constexpr int kPrecision = 6;
+
 std::string join(std::span<const double> values) {
-  std::ostringstream os;
-  os.precision(6);
+  util::TextOut out(kPrecision);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ", ";
-    os << values[i];
+    if (i) out << ", ";
+    out << values[i];
   }
-  return os.str();
+  return std::move(out).take();
 }
 
 /// Template signature: the index vectors a table uses.
@@ -25,24 +27,24 @@ std::string template_key(const Lut& lut) {
   return join(lut.slew_index()) + "|" + join(lut.load_index());
 }
 
-void write_lut_values(std::ostream& os, const Lut& lut, const char* indent) {
+void write_lut_values(util::TextOut& out, const Lut& lut, const char* indent) {
   if (lut.is_scalar()) {
-    os << indent << "values(\"" << lut.values()[0] << "\");\n";
+    out << indent << "values(\"" << lut.values()[0] << "\");\n";
     return;
   }
-  os << indent << "index_1(\"" << join(lut.slew_index()) << "\");\n";
+  out << indent << "index_1(\"" << join(lut.slew_index()) << "\");\n";
   if (lut.is_2d())
-    os << indent << "index_2(\"" << join(lut.load_index()) << "\");\n";
-  os << indent << "values( \\\n";
+    out << indent << "index_2(\"" << join(lut.load_index()) << "\");\n";
+  out << indent << "values( \\\n";
   const std::size_t cols =
       lut.is_2d() ? lut.load_index().size() : lut.slew_index().size();
   const std::size_t rows = lut.values().size() / cols;
   for (std::size_t r = 0; r < rows; ++r) {
-    os << indent << "  \""
-       << join(lut.values().subspan(r * cols, cols)) << "\"";
-    os << (r + 1 < rows ? ", \\\n" : " \\\n");
+    out << indent << "  \""
+        << join(lut.values().subspan(r * cols, cols)) << "\"";
+    out << (r + 1 < rows ? ", \\\n" : " \\\n");
   }
-  os << indent << ");\n";
+  out << indent << ");\n";
 }
 
 const char* timing_type(ArcKind kind) {
@@ -68,8 +70,7 @@ const char* timing_sense(ArcSense sense) {
 
 std::size_t write_liberty(const Library& lib, std::ostream& os,
                           const LibertyWriteOptions& opt) {
-  std::ostringstream buf;
-  buf.precision(6);
+  util::TextOut buf(kPrecision);
   const char* corner = opt.el == kLate ? "late" : "early";
   buf << "library (" << lib.name() << "_" << corner << ") {\n";
   buf << "  delay_model : table_lookup;\n";
@@ -162,9 +163,8 @@ std::size_t write_liberty(const Library& lib, std::ostream& os,
     buf << "  }\n";
   }
   buf << "}\n";
-  const std::string s = buf.str();
-  os << s;
-  return s.size();
+  os << buf.str();
+  return buf.size();
 }
 
 }  // namespace tmm

@@ -2,8 +2,10 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "util/text_out.hpp"
 
 namespace tmm {
 
@@ -26,15 +28,9 @@ CellId Library::cell_id(const std::string& cell_name) const {
 
 namespace {
 
-void write_lut(std::ostream& os, const Lut& lut) {
-  os << "lut " << lut.slew_index().size() << ' ' << lut.load_index().size()
-     << '\n';
-  for (double v : lut.slew_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.load_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.values()) os << v << ' ';
-  os << '\n';
+void write_lut(util::TextOut& out, const Lut& lut) {
+  out << "lut ";
+  write_lut_text(out, lut);
 }
 
 Lut read_lut(std::istream& is) {
@@ -56,13 +52,10 @@ Lut read_lut(std::istream& is) {
   return Lut::table2d(std::move(idx1), std::move(idx2), std::move(vals));
 }
 
-}  // namespace
-
-std::size_t Library::write(std::ostream& os) const {
-  std::ostringstream buf;
-  buf.precision(9);
-  buf << "library " << name_ << ' ' << cells_.size() << '\n';
-  for (const auto& c : cells_) {
+std::string format_library(const Library& lib) {
+  util::TextOut buf(9);
+  buf << "library " << lib.name() << ' ' << lib.cells().size() << '\n';
+  for (const auto& c : lib.cells()) {
     buf << "cell " << c.name << ' ' << c.ports.size() << ' ' << c.arcs.size()
         << ' ' << (c.is_sequential ? 1 : 0) << '\n';
     for (const auto& p : c.ports) {
@@ -81,7 +74,13 @@ std::size_t Library::write(std::ostream& os) const {
           write_lut(buf, a.out_slew(el, rf));
     }
   }
-  const std::string s = buf.str();
+  return std::move(buf).take();
+}
+
+}  // namespace
+
+std::size_t Library::write(std::ostream& os) const {
+  const std::string s = format_library(*this);
   os << s;
   return s.size();
 }
@@ -131,8 +130,7 @@ Library Library::read(std::istream& is) {
 }
 
 std::size_t Library::serialized_size() const {
-  std::ostringstream os;
-  return write(os);
+  return format_library(*this).size();
 }
 
 }  // namespace tmm

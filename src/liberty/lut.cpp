@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "fault/fault.hpp"
+#include "util/text_out.hpp"
 
 namespace tmm {
 
@@ -116,6 +117,16 @@ double Lut::lookup(double slew, double load) const noexcept {
   const double a = v00 + tc * (v01 - v00);
   const double b = v10 + tc * (v11 - v10);
   return a + ts * (b - a);
+}
+
+void write_lut_text(util::TextOut& out, const Lut& lut) {
+  out << lut.slew_index().size() << ' ' << lut.load_index().size() << '\n';
+  for (double v : lut.slew_index()) out << v << ' ';
+  out << '\n';
+  for (double v : lut.load_index()) out << v << ' ';
+  out << '\n';
+  for (double v : lut.values()) out << v << ' ';
+  out << '\n';
 }
 
 }  // namespace tmm

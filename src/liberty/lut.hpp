@@ -14,6 +14,10 @@
 
 namespace tmm {
 
+namespace util {
+class TextOut;
+}
+
 class Lut {
  public:
   /// Scalar table (constant value).
@@ -56,6 +60,12 @@ class Lut {
   std::vector<double> load_index_;
   std::vector<double> values_;
 };
+
+/// The table's text form, shared by Library::write and the .macro
+/// writer: "<slew-axis size> <load-axis size>", then the slew index, the
+/// load index and the values on one line each, every number followed by
+/// a space.
+void write_lut_text(util::TextOut& out, const Lut& lut);
 
 /// Piecewise-linear interpolation helpers shared with index selection.
 namespace interp {

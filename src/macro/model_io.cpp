@@ -4,11 +4,12 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fault/token_reader.hpp"
 #include "util/atomic_io.hpp"
+#include "util/text_out.hpp"
 
 namespace tmm {
 
@@ -22,16 +23,6 @@ using io::TokenReader;
 /// allocation before the next tag check fires.
 constexpr std::size_t kMaxRecords = 100'000'000;
 constexpr std::size_t kMaxLutAxis = 10'000;
-
-void write_lut(std::ostream& os, const Lut& lut) {
-  os << lut.slew_index().size() << ' ' << lut.load_index().size() << '\n';
-  for (double v : lut.slew_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.load_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.values()) os << v << ' ';
-  os << '\n';
-}
 
 Lut read_lut(TokenReader& tr) {
   const std::size_t ni = tr.size_at_most("lut slew-axis size", kMaxLutAxis);
@@ -52,9 +43,9 @@ Lut read_lut(TokenReader& tr) {
   }
 }
 
-void write_tables(std::ostream& os, const ElRf<Lut>& t) {
+void write_tables(util::TextOut& out, const ElRf<Lut>& t) {
   for (unsigned el = 0; el < kNumEl; ++el)
-    for (unsigned rf = 0; rf < kNumRf; ++rf) write_lut(os, t(el, rf));
+    for (unsigned rf = 0; rf < kNumRf; ++rf) write_lut_text(out, t(el, rf));
 }
 
 ElRf<Lut> read_tables(TokenReader& tr) {
@@ -64,12 +55,9 @@ ElRf<Lut> read_tables(TokenReader& tr) {
   return t;
 }
 
-}  // namespace
-
-std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
+std::string format_macro_model(const MacroModel& model) {
   const TimingGraph& g = model.graph;
-  std::ostringstream buf;
-  buf.precision(9);
+  util::TextOut buf(9);
 
   // Compact live node ids.
   std::vector<NodeId> to_compact(g.num_nodes(), kInvalidId);
@@ -122,14 +110,19 @@ std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
     write_tables(buf, *c.guard);
   }
 
-  const std::string s = buf.str();
+  return std::move(buf).take();
+}
+
+}  // namespace
+
+std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
+  const std::string s = format_macro_model(model);
   os << s;
   return s.size();
 }
 
 std::size_t macro_model_size_bytes(const MacroModel& model) {
-  std::ostringstream os;
-  return write_macro_model(model, os);
+  return format_macro_model(model).size();
 }
 
 fault::Status bind_port_ordinals(TimingGraph& g) {
@@ -262,11 +255,9 @@ MacroModel read_macro_model_file(const std::string& path) {
 std::size_t write_macro_model_file(const MacroModel& model,
                                    const std::string& path) {
   fault::inject("macro.write");
-  std::ostringstream buf;
-  const std::size_t bytes = write_macro_model(model, buf);
-  util::atomic_write_file(path, buf.str())
-      .or_throw("macro.write", model.design_name);
-  return bytes;
+  const std::string s = format_macro_model(model);
+  util::atomic_write_file(path, s).or_throw("macro.write", model.design_name);
+  return s.size();
 }
 
 }  // namespace tmm

@@ -4,6 +4,8 @@
 // library or in re-characterization), so a consumer needs no library to
 // use the model — mirroring how extracted .lib models ship. The byte
 // count of this form is the model-file-size metric of Tables 3-5.
+// Numbers go through util::TextOut as %.9g (docs/PERFORMANCE.md, "Text
+// output"), and the size is always measured by formatting the graph.
 
 #include <iosfwd>
 #include <string>
@@ -16,7 +18,9 @@ namespace tmm {
 /// Serialize; returns bytes written.
 std::size_t write_macro_model(const MacroModel& model, std::ostream& os);
 
-/// Measure the serialized size without keeping the bytes.
+/// Measure the serialized size without keeping the bytes. Formats the
+/// graph every call; never trusts MacroModel::file_size_bytes (0 on a
+/// model fresh from read_macro_model).
 std::size_t macro_model_size_bytes(const MacroModel& model);
 
 /// Parse a model previously produced by write_macro_model. Malformed

@@ -4,10 +4,11 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string>
 
 #include "fault/token_reader.hpp"
 #include "util/atomic_io.hpp"
+#include "util/text_out.hpp"
 
 namespace tmm {
 
@@ -19,12 +20,12 @@ using io::TokenReader;
 
 /// Pins are addressed as "p <port-index>" (top-level) or
 /// "g <gate-index> <cell-port-index>".
-void write_pin_ref(std::ostream& os, const Design& d, PinId pin) {
+void write_pin_ref(util::TextOut& out, const Design& d, PinId pin) {
   const Pin& p = d.pin(pin);
   if (p.gate == kInvalidId)
-    os << "p " << p.port;
+    out << "p " << p.port;
   else
-    os << "g " << p.gate << ' ' << p.port;
+    out << "g " << p.gate << ' ' << p.port;
 }
 
 /// Bounds-checked pin-reference parse: a dangling index reports the
@@ -59,11 +60,8 @@ PinId read_pin_ref(TokenReader& tr, const Design& d) {
 /// before the next per-record tag check would catch it.
 constexpr std::size_t kMaxRecords = 100'000'000;
 
-}  // namespace
-
-std::size_t write_design(const Design& design, std::ostream& os) {
-  std::ostringstream buf;
-  buf.precision(17);
+std::string format_design(const Design& design) {
+  util::TextOut buf(17);
   buf << "design " << design.name() << ' ' << design.library().name() << ' '
       << design.num_ports() << ' ' << design.num_gates() << ' '
       << design.num_nets() << '\n';
@@ -89,7 +87,13 @@ std::size_t write_design(const Design& design, std::ostream& os) {
       buf << ' ' << net.sink_res_kohm[k] << '\n';
     }
   }
-  const std::string s = buf.str();
+  return std::move(buf).take();
+}
+
+}  // namespace
+
+std::size_t write_design(const Design& design, std::ostream& os) {
+  const std::string s = format_design(design);
   os << s;
   return s.size();
 }
@@ -159,11 +163,9 @@ Design read_design_file(const std::string& path, const Library& lib) {
 }
 
 std::size_t write_design_file(const Design& design, const std::string& path) {
-  std::ostringstream buf;
-  const std::size_t bytes = write_design(design, buf);
-  util::atomic_write_file(path, buf.str())
-      .or_throw("netlist.write", design.name());
-  return bytes;
+  const std::string s = format_design(design);
+  util::atomic_write_file(path, s).or_throw("netlist.write", design.name());
+  return s.size();
 }
 
 }  // namespace tmm

@@ -7,6 +7,35 @@ TMM="$1"
 LOADGEN="$2"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
+# fd 3 keeps the script's stderr for helper diagnostics when a call
+# redirects its own stderr into a file.
+exec 3>&2
+
+# expect_rc <code> <cmd...>: run cmd, which may fail, and require exit
+# status <code>. Redirections on the call apply to cmd; environment
+# overrides go through `env`.
+expect_rc() {
+  want=$1
+  shift
+  set +e
+  "$@"
+  got=$?
+  set -e
+  if [ "$got" -ne "$want" ]; then
+    echo "expected exit $want, got $got: $*" >&3
+    exit 1
+  fi
+}
+
+# wait_socket <path>: wait up to 10 s for a server's unix socket.
+wait_socket() {
+  i=0
+  while [ ! -S "$1" ] && [ "$i" -lt 100 ]; do i=$((i+1)); sleep 0.1; done
+  if [ ! -S "$1" ]; then
+    echo "no socket at $1" >&3
+    exit 1
+  fi
+}
 
 "$TMM" gen-design "$DIR/block.dsn" --pins 2500 --seed 5 --name cli_block
 "$TMM" stats "$DIR/block.dsn"
@@ -16,6 +45,9 @@ trap 'rm -rf "$DIR"' EXIT
 "$TMM" train "$DIR/m.gnn" "$DIR/t1.dsn" "$DIR/t2.dsn"
 "$TMM" generate "$DIR/m.gnn" "$DIR/block.dsn" "$DIR/block.macro"
 "$TMM" evaluate "$DIR/block.dsn" "$DIR/block.macro"
+# Generation is deterministic: the same inputs give the same bytes.
+"$TMM" generate "$DIR/m.gnn" "$DIR/block.dsn" "$DIR/block_again.macro"
+cmp "$DIR/block.macro" "$DIR/block_again.macro"
 
 # Invariant checker: every design and the generated macro model must be
 # free of error-severity diagnostics.
@@ -44,14 +76,8 @@ grep -q '"ph"' "$DIR/trace.json"
 grep -q 'sta.runs' "$DIR/metrics.json"
 
 # Unknown or out-of-place options must be rejected with exit code 2.
-set +e
-"$TMM" lint --pins 5 "$DIR/block.dsn" 2> "$DIR/err1.txt"
-rc1=$?
-"$TMM" sta "$DIR/block.dsn" --bogus 2> "$DIR/err2.txt"
-rc2=$?
-set -e
-[ "$rc1" -eq 2 ]
-[ "$rc2" -eq 2 ]
+expect_rc 2 "$TMM" lint --pins 5 "$DIR/block.dsn" 2> "$DIR/err1.txt"
+expect_rc 2 "$TMM" sta "$DIR/block.dsn" --bogus 2> "$DIR/err2.txt"
 grep -q "not valid for subcommand" "$DIR/err1.txt"
 grep -q "unknown option" "$DIR/err2.txt"
 
@@ -70,19 +96,12 @@ TMM_THREADS=3 "$TMM" sta "$DIR/block.dsn" > "$DIR/sta_env.txt"
 cmp "$DIR/sta_t1.txt" "$DIR/sta_env.txt"
 
 # --threads 0 and a malformed TMM_THREADS are configuration errors.
-set +e
-"$TMM" sta "$DIR/block.dsn" --threads 0 2> "$DIR/errt1.txt"
-rct1=$?
-TMM_THREADS="4x" "$TMM" stats "$DIR/block.dsn" 2> "$DIR/errt2.txt"
-rct2=$?
-"$TMM" lint --threads 2 "$DIR/block.dsn" 2> "$DIR/errt3.txt"
-rct3=$?
-set -e
-[ "$rct1" -eq 2 ]
+expect_rc 2 "$TMM" sta "$DIR/block.dsn" --threads 0 2> "$DIR/errt1.txt"
 grep -q "positive integer" "$DIR/errt1.txt"
-[ "$rct2" -eq 2 ]
+expect_rc 2 env TMM_THREADS="4x" "$TMM" stats "$DIR/block.dsn" \
+  2> "$DIR/errt2.txt"
 grep -q "invalid TMM_THREADS" "$DIR/errt2.txt"
-[ "$rct3" -eq 2 ]
+expect_rc 2 "$TMM" lint --threads 2 "$DIR/block.dsn" 2> "$DIR/errt3.txt"
 grep -q "not valid for subcommand" "$DIR/errt3.txt"
 
 # --- Robustness: fault injection, checkpoint/resume, exit codes -------------
@@ -93,11 +112,8 @@ grep -q "flow.train_design" "$DIR/sites.txt"
 grep -q "util.atomic_write" "$DIR/sites.txt"
 
 # A malformed TMM_FAULT spec is a configuration error: exit code 2.
-set +e
-TMM_FAULT="no.such.site:1" "$TMM" stats "$DIR/block.dsn" 2> "$DIR/err3.txt"
-rc3=$?
-set -e
-[ "$rc3" -eq 2 ]
+expect_rc 2 env TMM_FAULT="no.such.site:1" "$TMM" stats "$DIR/block.dsn" \
+  2> "$DIR/err3.txt"
 grep -q "unregistered site" "$DIR/err3.txt"
 
 # End-to-end checkpointed flow; rerunning against the same directory
@@ -113,12 +129,9 @@ grep -q "(resumed)" "$DIR/flow2.txt"
 
 # A design failure mid-flow degrades the run: exit code 3, with the
 # failed design named in the summary and counted in the metrics JSON.
-set +e
-TMM_FAULT="flow.train_design:1" "$TMM" --metrics "$DIR/m3.json" \
-  flow "$DIR/run3" "$DIR/t1.dsn" "$DIR/t2.dsn" > "$DIR/flow3.txt"
-rc4=$?
-set -e
-[ "$rc4" -eq 3 ]
+expect_rc 3 env TMM_FAULT="flow.train_design:1" "$TMM" \
+  --metrics "$DIR/m3.json" flow "$DIR/run3" "$DIR/t1.dsn" "$DIR/t2.dsn" \
+  > "$DIR/flow3.txt"
 grep -q "FAILED" "$DIR/flow3.txt"
 grep -q '"flow.designs_failed": 1' "$DIR/m3.json"
 
@@ -138,46 +151,29 @@ test -s "$DIR/block.tmb"
 "$TMM" lint "$DIR/models/t1.tmb"
 "$TMM" lint "$DIR/models"
 head -c 40 "$DIR/models/t1.tmb" > "$DIR/trunc.tmb"
-set +e
-"$TMM" lint "$DIR/trunc.tmb" > "$DIR/lint_trunc.txt"
-rc_lint=$?
-set -e
-[ "$rc_lint" -eq 3 ]
+expect_rc 3 "$TMM" lint "$DIR/trunc.tmb" > "$DIR/lint_trunc.txt"
 grep -q "S001" "$DIR/lint_trunc.txt"
 "$TMM" lint --concurrency > "$DIR/lint_conc.txt"
 grep -q "acyclic" "$DIR/lint_conc.txt"
 
 # An injected pack fault is a runtime failure: exit code 1.
-set +e
-TMM_FAULT="serve.pack:1" "$TMM" pack "$DIR/block.macro" 2> "$DIR/err4.txt"
-rc5=$?
-set -e
-[ "$rc5" -eq 1 ]
+expect_rc 1 env TMM_FAULT="serve.pack:1" "$TMM" pack "$DIR/block.macro" \
+  2> "$DIR/err4.txt"
 grep -q "serve.pack" "$DIR/err4.txt"
 
 # A corrupt .tmb fails to load: serving a directory holding only that
 # file is a runtime failure (exit 1), and a missing directory is too.
 mkdir -p "$DIR/badmodels"
 printf 'not a tmb image' > "$DIR/badmodels/bad.tmb"
-set +e
-"$TMM" serve "$DIR/badmodels" --socket "$DIR/bad.sock" 2> /dev/null
-rc6=$?
-"$TMM" serve "$DIR/no_such_dir" --socket "$DIR/bad.sock" 2> /dev/null
-rc7=$?
-set -e
-[ "$rc6" -eq 1 ]
-[ "$rc7" -eq 1 ]
+expect_rc 1 "$TMM" serve "$DIR/badmodels" --socket "$DIR/bad.sock" \
+  2> /dev/null
+expect_rc 1 "$TMM" serve "$DIR/no_such_dir" --socket "$DIR/bad.sock" \
+  2> /dev/null
 
 # A TCP port above 65535 is a configuration error (exit 2) on both
 # sides, never a silently truncated bind or connect.
-set +e
-"$TMM" serve "$DIR/models" --port 65536 2> "$DIR/err_port.txt"
-rc_port=$?
-"$TMM" stat 70000 2> "$DIR/err_statport.txt"
-rc_statport=$?
-set -e
-[ "$rc_port" -eq 2 ]
-[ "$rc_statport" -eq 2 ]
+expect_rc 2 "$TMM" serve "$DIR/models" --port 65536 2> "$DIR/err_port.txt"
+expect_rc 2 "$TMM" stat 70000 2> "$DIR/err_statport.txt"
 grep -q "65536" "$DIR/err_port.txt"
 grep -q "out of range" "$DIR/err_statport.txt"
 
@@ -186,9 +182,7 @@ grep -q "out of range" "$DIR/err_statport.txt"
 "$TMM" serve "$DIR/models" --socket "$DIR/tmm.sock" --threads 2 \
   > "$DIR/serve.txt" 2>&1 &
 SRV=$!
-i=0
-while [ ! -S "$DIR/tmm.sock" ] && [ "$i" -lt 100 ]; do i=$((i+1)); sleep 0.1; done
-[ -S "$DIR/tmm.sock" ]
+wait_socket "$DIR/tmm.sock"
 TMM_BENCH_JSON_DIR="$DIR" "$LOADGEN" --socket "$DIR/tmm.sock" \
   --model-dir "$DIR/models" --threads 4 --seconds 1 --warm-keys 4 \
   > "$DIR/loadgen.txt"
@@ -212,18 +206,10 @@ if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "$DIR/flight.json" > /dev/null
 fi
 # --health and --flight are mutually exclusive: usage error (exit 2).
-set +e
-"$TMM" stat --health --flight "$DIR/tmm.sock" 2> /dev/null
-rc_stat=$?
-set -e
-[ "$rc_stat" -eq 2 ]
+expect_rc 2 "$TMM" stat --health --flight "$DIR/tmm.sock" 2> /dev/null
 
 kill -TERM "$SRV"
-set +e
-wait "$SRV"
-rc8=$?
-set -e
-[ "$rc8" -eq 0 ]                      # clean drain
+expect_rc 0 wait "$SRV"               # clean drain
 grep -q "drained" "$DIR/serve.txt"
 [ ! -S "$DIR/tmm.sock" ]              # socket unlinked on shutdown
 test -s "$DIR/BENCH_serve.json"
@@ -242,24 +228,18 @@ for SITE in serve.parse_request serve.write_response; do
   TMM_FAULT="$SITE:1" "$TMM" serve "$DIR/models" --socket "$SOCK" \
     --threads 1 > "$DIR/$SITE.txt" 2>&1 &
   SRVF=$!
-  i=0
-  while [ ! -S "$SOCK" ] && [ "$i" -lt 100 ]; do i=$((i+1)); sleep 0.1; done
-  set +e
-  TMM_BENCH_JSON_DIR="$DIR" "$LOADGEN" --socket "$SOCK" \
-    --model-dir "$DIR/models" --threads 2 --seconds 1 --warm-keys 2 \
-    > "$DIR/$SITE.loadgen.txt"
-  rcf=$?
-  kill -TERM "$SRVF"
-  wait "$SRVF"
-  rcs=$?
-  set -e
-  if [ "$SITE" = serve.parse_request ]; then
-    [ "$rcf" -eq 1 ]   # error response surfaced to the client
-  else
-    [ "$rcf" -eq 0 ]   # connection abort absorbed by reconnect + retry
+  wait_socket "$SOCK"
+  # parse_request: the error response surfaces to the client (exit 1);
+  # write_response: reconnect + retry absorbs the abort (exit 0).
+  if [ "$SITE" = serve.parse_request ]; then want=1; else want=0; fi
+  expect_rc "$want" env TMM_BENCH_JSON_DIR="$DIR" "$LOADGEN" \
+    --socket "$SOCK" --model-dir "$DIR/models" --threads 2 --seconds 1 \
+    --warm-keys 2 > "$DIR/$SITE.loadgen.txt"
+  if [ "$SITE" = serve.write_response ]; then
     grep -q '"response_retries": [1-9]' "$DIR/BENCH_serve.json"
   fi
-  [ "$rcs" -eq 0 ]   # server survived it and drained cleanly
+  kill -TERM "$SRVF"
+  expect_rc 0 wait "$SRVF"   # server survived it and drained cleanly
   # Dump-on-fault: the fire hook froze the flight recorder next to the
   # models (serve defaults --dump-dir to the model directory).
   DUMP="$DIR/models/flight.$(echo "$SITE" | tr '.' '_').json"
@@ -278,8 +258,7 @@ cp "$DIR/models/t1.tmb" "$DIR/rmodels/t1.tmb"
 "$TMM" serve "$DIR/rmodels" --socket "$DIR/reload.sock" --threads 2 \
   > "$DIR/serve_reload.txt" 2>&1 &
 SRVR=$!
-i=0
-while [ ! -S "$DIR/reload.sock" ] && [ "$i" -lt 100 ]; do i=$((i+1)); sleep 0.1; done
+wait_socket "$DIR/reload.sock"
 "$TMM" stat --health "$DIR/reload.sock" > "$DIR/rhealth1.json"
 grep -q '"generation": 1' "$DIR/rhealth1.json"
 "$TMM" stat --reload "$DIR/reload.sock" > "$DIR/reload1.json"
@@ -299,11 +278,7 @@ TMM_BENCH_JSON_DIR="$DIR" "$LOADGEN" --socket "$DIR/reload.sock" \
 grep -q '"reload_failures": 1' "$DIR/rstat.json"
 grep -q '"max_inflight"' "$DIR/rstat.json"
 # --reload is one-shot admin traffic: not combinable with --watch.
-set +e
-"$TMM" stat --reload --watch "$DIR/reload.sock" 2> /dev/null
-rc_rw=$?
-set -e
-[ "$rc_rw" -eq 2 ]
+expect_rc 2 "$TMM" stat --reload --watch "$DIR/reload.sock" 2> /dev/null
 # --watch rides out the drain below: the request it writes into the
 # closed connection leads to a reconnect, not a SIGPIPE death.
 "$TMM" stat --health --watch --interval 0.2 "$DIR/reload.sock" \
@@ -311,11 +286,7 @@ set -e
 WATCH=$!
 sleep 0.5
 kill -TERM "$SRVR"
-set +e
-wait "$SRVR"
-rc10=$?
-set -e
-[ "$rc10" -eq 0 ]
+expect_rc 0 wait "$SRVR"
 grep -q "1 failed" "$DIR/serve_reload.txt"
 sleep 1
 kill -0 "$WATCH"
@@ -328,14 +299,9 @@ cp "$DIR/badmodels/bad.tmb" "$DIR/models/bad.tmb"
 "$TMM" serve "$DIR/models" --socket "$DIR/tmm2.sock" --threads 1 \
   > "$DIR/serve2.txt" 2>&1 &
 SRV2=$!
-i=0
-while [ ! -S "$DIR/tmm2.sock" ] && [ "$i" -lt 100 ]; do i=$((i+1)); sleep 0.1; done
+wait_socket "$DIR/tmm2.sock"
 kill -TERM "$SRV2"
-set +e
-wait "$SRV2"
-rc9=$?
-set -e
-[ "$rc9" -eq 3 ]
+expect_rc 3 wait "$SRV2"
 
 # --- Real-circuit frontend: BLIF / structural-Verilog import ----------------
 # Import an MCNC-style BLIF twice (byte-identical .dsn), lint the
@@ -380,11 +346,8 @@ test -s "$DIR/fe-flow/out/cli_majority.macro"
 # Malformed BLIF: structured parse diagnostic with file:line, exit 1.
 printf '.model bad\n.inputs a b\n.outputs y\n.names a b y\n1 1\n.end\n' \
   > "$DIR/bad.blif"
-set +e
-"$TMM" import "$DIR/bad.blif" --out "$DIR/bad.dsn" 2> "$DIR/fe-err.txt"
-rcfe=$?
-set -e
-[ "$rcfe" -eq 1 ]
+expect_rc 1 "$TMM" import "$DIR/bad.blif" --out "$DIR/bad.dsn" \
+  2> "$DIR/fe-err.txt"
 grep -q "bad.blif:5" "$DIR/fe-err.txt"
 
 echo "CLI_OK"

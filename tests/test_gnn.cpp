@@ -319,6 +319,25 @@ TEST(GnnModel, SaveLoadRoundTripPredictsIdentically) {
     EXPECT_NEAR(before[i], after[i], 1e-5);
 }
 
+TEST(GnnModelIo, SaveLeavesCallerStreamAlone) {
+  GnnModelConfig cfg;
+  cfg.input_dim = 4;
+  cfg.hidden_dim = 5;
+  const GnnModel model(cfg);
+  std::ostringstream os;
+  os.precision(3);
+  os.setf(std::ios::scientific, std::ios::floatfield);
+  const std::streamsize precision = os.precision();
+  const std::ios::fmtflags flags = os.flags();
+  model.save(os);
+  EXPECT_EQ(os.precision(), precision);
+  EXPECT_EQ(os.flags(), flags);
+  // The weights ignore the caller's format: same bytes as a fresh stream.
+  std::ostringstream fresh;
+  model.save(fresh);
+  EXPECT_EQ(os.str(), fresh.str());
+}
+
 TEST(GnnGraph, FromTimingGraphIsUndirected) {
   const Design d = test::make_buffer_chain(2);
   const TimingGraph tg = build_timing_graph(d);

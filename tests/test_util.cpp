@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/instrument.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/text_out.hpp"
 
 namespace tmm {
 namespace {
@@ -190,6 +199,80 @@ TEST(Instrument, StopwatchAdvances) {
   for (int i = 0; i < 100000; ++i)
     sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(sw.seconds(), 0.0);
+}
+
+/// Formats `v` through TextOut, printf "%.*g" and an ostream at
+/// precision(`prec`); the three must agree byte for byte. Returns the
+/// number of mismatches, reporting the first few.
+template <typename T>
+int count_format_mismatches(int prec, T v, std::ostringstream& os) {
+  util::TextOut out(prec);
+  out << v;
+  char want[64];
+  std::snprintf(want, sizeof want, "%.*g", prec, static_cast<double>(v));
+  os.str("");
+  os << v;
+  if (out.str() == want && os.str() == want) return 0;
+  static int reported = 0;
+  if (reported++ < 10)
+    ADD_FAILURE() << "precision " << prec << ": TextOut '" << out.str()
+                  << "', printf '" << want << "', ostream '" << os.str()
+                  << "'";
+  return 1;
+}
+
+TEST(TextOut, MatchesPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials{
+      0.0,          -0.0,        kInf,         -kInf,      kNan,
+      -kNan,        DBL_MIN,     -DBL_MIN,     DBL_MAX,    -DBL_MAX,
+      DBL_TRUE_MIN, DBL_MIN / 3, -DBL_MIN / 7, 999999999.5, 1e9,
+      1e10,         1e-5,        1e-4,         0.1,        1.0 / 3,
+      123456.5,     1e16,        1e17,         9.99999999e-5, 12.0};
+  for (const int prec : {6, 9, 17}) {
+    std::ostringstream os;
+    os.precision(prec);
+    int bad = 0;
+    for (const double v : specials) bad += count_format_mismatches(prec, v, os);
+    Rng rng(static_cast<std::uint64_t>(prec));
+    for (int i = 0; i < 100'000; ++i) {
+      const std::uint64_t bits = rng();
+      double v = 0.0;
+      std::memcpy(&v, &bits, sizeof v);
+      bad += count_format_mismatches(prec, v, os);
+    }
+    EXPECT_EQ(bad, 0) << "precision " << prec;
+  }
+
+  // GnnModel weights: floats at 9 digits.
+  std::ostringstream os;
+  os.precision(9);
+  int bad = 0;
+  for (const double v : specials)
+    bad += count_format_mismatches(9, static_cast<float>(v), os);
+  for (const float v : {FLT_MIN, -FLT_MAX, FLT_TRUE_MIN, 16777217.0f})
+    bad += count_format_mismatches(9, v, os);
+  Rng rng(32);
+  for (int i = 0; i < 100'000; ++i) {
+    const auto bits = static_cast<std::uint32_t>(rng());
+    float v = 0.0f;
+    std::memcpy(&v, &bits, sizeof v);
+    bad += count_format_mismatches(9, v, os);
+  }
+  EXPECT_EQ(bad, 0) << "float";
+}
+
+TEST(TextOut, AppendsIntegersAndTextInOrder) {
+  util::TextOut out(9);
+  out << "n " << std::numeric_limits<std::int64_t>::min() << ' '
+      << std::numeric_limits<std::uint64_t>::max() << ' ' << -1 << ' '
+      << std::uint32_t{0} << ' ' << std::string("x") << '\n';
+  const std::string want =
+      "n -9223372036854775808 18446744073709551615 -1 0 x\n";
+  EXPECT_EQ(out.str(), want);
+  EXPECT_EQ(out.size(), want.size());
+  EXPECT_EQ(std::move(out).take(), want);
 }
 
 }  // namespace
