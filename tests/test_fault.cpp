@@ -349,6 +349,15 @@ TEST(Checkpoint, FingerprintMismatchIsAConfigError) {
             fault::ErrorCode::kConfig);
 }
 
+// Checkpoint directories written by earlier builds must keep resuming:
+// the fingerprint of a config is a fixed value, not just self-consistent.
+TEST(Checkpoint, FingerprintStable) {
+  EXPECT_EQ(flow::flow_fingerprint(FlowConfig{}), 15667680646379942960ull);
+  FlowConfig regression;
+  regression.regression = true;
+  EXPECT_EQ(flow::flow_fingerprint(regression), 1258844375569322429ull);
+}
+
 TEST(Checkpoint, SwappedLibraryInvalidatesFingerprint) {
   // A checkpoint written against one liberty library must not resume
   // against another: TS labels depend on cell timing.

@@ -6,6 +6,8 @@
 #include "gnn/features.hpp"
 #include "gnn/metrics.hpp"
 #include "gnn/trainer.hpp"
+#include "macro/ilm.hpp"
+#include "sensitivity/training_data.hpp"
 #include "test_helpers.hpp"
 
 namespace tmm {
@@ -336,6 +338,60 @@ TEST(GnnModelIo, SaveLeavesCallerStreamAlone) {
   std::ostringstream fresh;
   model.save(fresh);
   EXPECT_EQ(os.str(), fresh.str());
+}
+
+// ---------------------------------------------------------------- golden
+
+/// Two seeded designs labelled by the Fig. 8 flow, as Framework::train
+/// builds its samples.
+std::vector<GraphSample> golden_samples() {
+  TrainingDataConfig data_cfg;
+  data_cfg.ts.num_constraint_sets = 2;
+  std::vector<GraphSample> out;
+  for (const Design& d : {test::make_tiny_design("t0", 40),
+                          test::make_tiny_design("t1", 41)}) {
+    const IlmResult ilm = extract_ilm(build_timing_graph(d));
+    GraphSample s;
+    s.graph = GnnGraph::from_timing_graph(ilm.graph);
+    s.features = extract_features(ilm.graph, true);
+    s.labels = generate_training_data(ilm.graph, data_cfg).labels;
+    s.mask.assign(ilm.graph.num_nodes(), 1);
+    for (NodeId n = 0; n < ilm.graph.num_nodes(); ++n)
+      if (ilm.graph.node(n).dead) s.mask[n] = 0;
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// FNV-1a and length of the saved weights: a change to the init draw
+// order, a kernel's accumulation order or the Adam update moves them.
+TEST(GnnGolden, TrainedWeights) {
+  GnnModelConfig cfg;
+  cfg.input_dim = kNumFeaturesWithCppr;
+  const auto saved = [](const GnnModel& model) {
+    std::ostringstream os;
+    model.save(os);
+    return os.str();
+  };
+  const std::vector<GraphSample> samples = golden_samples();
+  const auto trained = [&](LossKind loss) {
+    GnnModel model(cfg);
+    TrainConfig tc;
+    tc.epochs = 20;
+    tc.loss = loss;
+    static_cast<void>(train_model(model, samples, tc));
+    return saved(model);
+  };
+  const auto expect_bytes = [](const std::string& text, std::uint64_t hash,
+                               std::size_t bytes) {
+    EXPECT_EQ(text.size(), bytes);
+    EXPECT_EQ(test::fnv1a(text), hash);
+  };
+  expect_bytes(saved(GnnModel(cfg)), 16106141905165079343ull, 34044);
+  expect_bytes(trained(LossKind::kBinaryCrossEntropy), 17888800682079501575ull,
+               34669);
+  expect_bytes(trained(LossKind::kMeanSquaredError), 5225497817754010591ull,
+               34707);
 }
 
 TEST(GnnGraph, FromTimingGraphIsUndirected) {

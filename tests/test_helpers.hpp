@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "liberty/library_gen.hpp"
@@ -44,6 +46,16 @@ inline fault::ErrorCode code_of(const std::function<void()>& fn) {
   }
   ADD_FAILURE() << "expected FlowError";
   return fault::ErrorCode::kOk;
+}
+
+/// FNV-1a-64 of `s`: golden tests pin output bytes with it.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// One generated library shared by all tests (cells are immutable).

@@ -19,20 +19,11 @@
 namespace tmm {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void expect_golden(const std::string& text, std::size_t returned,
                    std::uint64_t want_hash, std::size_t want_bytes) {
   EXPECT_EQ(returned, text.size());
   EXPECT_EQ(text.size(), want_bytes);
-  EXPECT_EQ(fnv1a(text), want_hash);
+  EXPECT_EQ(test::fnv1a(text), want_hash);
 }
 
 Design golden_design() { return test::make_small_design("golden", 21); }
