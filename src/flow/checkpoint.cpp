@@ -108,17 +108,19 @@ std::uint64_t flow_fingerprint(const FlowConfig& cfg) {
   os << m.max_fan_product << '|' << m.single_fanin_only << '|'
      << m.index.max_points << '|' << m.index.error_driven << '|';
   put_hex(os, m.index.tolerance_ps);
+  // Fields of since-removed GNN options are written as the constants
+  // they always held (engine 0, weight decay 0, auto positive weight 0,
+  // min delta 1e-5), so older checkpoint directories still resume.
   os << '|' << cfg.gnn.input_dim << '|' << cfg.gnn.hidden_dim << '|'
-     << cfg.gnn.num_layers << '|' << static_cast<int>(cfg.gnn.engine) << '|'
-     << cfg.gnn.seed << '|';
+     << cfg.gnn.num_layers << "|0|" << cfg.gnn.seed << '|';
   os << cfg.train.epochs << '|' << static_cast<int>(cfg.train.loss) << '|';
-  put_hex(os, cfg.train.adam.lr);
+  put_hex(os, cfg.train.lr);
   os << '|';
-  put_hex(os, cfg.train.adam.weight_decay);
+  put_hex(os, 0.0);
   os << '|';
-  put_hex(os, cfg.train.pos_weight);
+  put_hex(os, 0.0);
   os << '|' << cfg.train.patience << '|';
-  put_hex(os, cfg.train.min_delta);
+  put_hex(os, 1e-5);
   return fnv1a(os.str());
 }
 

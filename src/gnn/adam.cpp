@@ -4,8 +4,16 @@
 
 namespace tmm {
 
-Adam::Adam(std::vector<Param*> params, AdamConfig cfg)
-    : params_(std::move(params)), cfg_(cfg) {
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<Param*> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {
@@ -16,20 +24,20 @@ Adam::Adam(std::vector<Param*> params, AdamConfig cfg)
 
 void Adam::step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(cfg_.beta2, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto w = params_[i]->value.data();
     auto g = params_[i]->grad.data();
     auto m = m_[i].data();
     auto v = v_[i].data();
     for (std::size_t k = 0; k < w.size(); ++k) {
-      float grad = g[k] + cfg_.weight_decay * w[k];
-      m[k] = cfg_.beta1 * m[k] + (1.0f - cfg_.beta1) * grad;
-      v[k] = cfg_.beta2 * v[k] + (1.0f - cfg_.beta2) * grad * grad;
+      const float grad = g[k];
+      m[k] = kBeta1 * m[k] + (1.0f - kBeta1) * grad;
+      v[k] = kBeta2 * v[k] + (1.0f - kBeta2) * grad * grad;
       const float mh = m[k] / bc1;
       const float vh = v[k] / bc2;
-      w[k] -= cfg_.lr * mh / (std::sqrt(vh) + cfg_.eps);
+      w[k] -= lr_ * mh / (std::sqrt(vh) + kEps);
     }
   }
   zero_grad();

@@ -1,5 +1,6 @@
 #pragma once
-// Adam optimizer over a flat list of parameters.
+// Adam optimizer over a flat list of parameters (moment decays 0.9 and
+// 0.999, epsilon 1e-8, no weight decay).
 
 #include <vector>
 
@@ -7,17 +8,9 @@
 
 namespace tmm {
 
-struct AdamConfig {
-  float lr = 0.01f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
-  float weight_decay = 0.0f;
-};
-
 class Adam {
  public:
-  Adam(std::vector<Param*> params, AdamConfig cfg = {});
+  Adam(std::vector<Param*> params, float lr);
 
   /// Apply one update from the accumulated gradients, then zero them.
   void step();
@@ -28,7 +21,7 @@ class Adam {
   std::vector<Param*> params_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
-  AdamConfig cfg_;
+  float lr_;
   std::size_t t_ = 0;
 };
 

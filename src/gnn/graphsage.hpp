@@ -1,8 +1,8 @@
 #pragma once
-// The pin-classification GNN (Section 5.1): a stack of GraphSAGE (or
-// GCN) message-passing layers followed by a dense head producing one
-// logit per pin; sigmoid(logit) is the predicted probability that the
-// pin is timing-variant.
+// The pin-classification GNN (Section 5.1): a stack of mean-aggregator
+// GraphSAGE message-passing layers followed by a dense head producing
+// one logit per pin; sigmoid(logit) is the predicted probability that
+// the pin is timing-variant.
 
 #include <iosfwd>
 #include <optional>
@@ -12,17 +12,10 @@
 
 namespace tmm {
 
-enum class GnnEngine : std::uint8_t {
-  kGraphSage = 0,      ///< mean aggregator (the paper's default)
-  kGcn = 1,            ///< symmetric-normalized GCN
-  kGraphSagePool = 2,  ///< max-pooling aggregator
-};
-
 struct GnnModelConfig {
   std::size_t input_dim = 8;   ///< 8 basic features, 9 with is_CPPR
   std::size_t hidden_dim = 32;
   std::size_t num_layers = 2;  ///< message-passing layers
-  GnnEngine engine = GnnEngine::kGraphSage;
   std::uint64_t seed = 99;
 };
 
@@ -52,10 +45,13 @@ class GnnModel {
  private:
   GnnModelConfig cfg_;
   std::vector<SageLayer> sage_;
-  std::vector<GcnLayer> gcn_;
-  std::vector<SagePoolLayer> pool_;
   std::optional<DenseLayer> head_;
 };
+
+/// Number of weights a model of `cfg` holds (the sum of its params()
+/// sizes), saturated at SIZE_MAX. Lets a reader refuse a header before
+/// the model is built.
+std::size_t param_count(const GnnModelConfig& cfg);
 
 /// GnnModel::load from a file, with the path as error context.
 GnnModel load_gnn_file(const std::string& path);

@@ -1,7 +1,5 @@
 #include "gnn/layers.hpp"
 
-#include <cmath>
-
 #include "sta/timing_graph.hpp"
 
 namespace tmm {
@@ -64,9 +62,7 @@ void mean_aggregate_backward(const GnnGraph& g, const Matrix& dout,
 
 // ------------------------------------------------------------- SageLayer
 
-SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, bool relu,
-                     Rng& rng)
-    : relu_(relu) {
+SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng) {
   w_self_.init_glorot(in_dim, out_dim, rng);
   w_neigh_.init_glorot(in_dim, out_dim, rng);
   bias_.init_zero(1, out_dim);
@@ -81,179 +77,26 @@ Matrix SageLayer::forward(const GnnGraph& g, const Matrix& x) {
   matmul(hn_cache_, w_neigh_.value, zn);
   add_inplace(z, zn);
   add_bias(z, bias_.value.data());
-  if (relu_) relu_forward(z, relu_mask_);
+  relu_forward(z, relu_mask_);
   return z;
 }
 
 Matrix SageLayer::backward(const GnnGraph& g, const Matrix& dout) {
   Matrix dz = dout;
-  if (relu_) relu_backward(dz, relu_mask_);
+  relu_backward(dz, relu_mask_);
 
   Matrix gw;
   matmul_at_b(x_cache_, dz, gw);
   add_inplace(w_self_.grad, gw);
   matmul_at_b(hn_cache_, dz, gw);
   add_inplace(w_neigh_.grad, gw);
-  for (std::size_t r = 0; r < dz.rows(); ++r) {
-    auto row = dz.row(r);
-    auto brow = bias_.grad.row(0);
-    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
-  }
+  add_column_sums(bias_.grad, dz);
 
   Matrix dx;
   matmul_a_bt(dz, w_self_.value, dx);
   Matrix dhn;
   matmul_a_bt(dz, w_neigh_.value, dhn);
   mean_aggregate_backward(g, dhn, dx);
-  return dx;
-}
-
-// --------------------------------------------------------- SagePoolLayer
-
-SagePoolLayer::SagePoolLayer(std::size_t in_dim, std::size_t out_dim,
-                             bool relu, Rng& rng)
-    : relu_(relu) {
-  w_pool_.init_glorot(in_dim, out_dim, rng);
-  b_pool_.init_zero(1, out_dim);
-  w_self_.init_glorot(in_dim, out_dim, rng);
-  w_neigh_.init_glorot(out_dim, out_dim, rng);
-  bias_.init_zero(1, out_dim);
-}
-
-Matrix SagePoolLayer::forward(const GnnGraph& g, const Matrix& x) {
-  x_cache_ = x;
-  // Per-node messages m_u = relu(W_pool x_u + b_pool).
-  matmul(x, w_pool_.value, pooled_);
-  add_bias(pooled_, b_pool_.value.data());
-  relu_forward(pooled_, pool_mask_);
-  // Elementwise max over neighbors, remembering the winner.
-  const std::size_t k = pooled_.cols();
-  hn_cache_ = Matrix(x.rows(), k);
-  argmax_.assign(x.rows() * k, kInvalidId);
-  for (std::size_t v = 0; v < g.num_nodes; ++v) {
-    auto orow = hn_cache_.row(v);
-    for (std::size_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
-      const auto u = g.neighbors[e];
-      const auto urow = pooled_.row(u);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (argmax_[v * k + c] == kInvalidId || urow[c] > orow[c]) {
-          orow[c] = urow[c];
-          argmax_[v * k + c] = u;
-        }
-      }
-    }
-  }
-  Matrix z;
-  matmul(x, w_self_.value, z);
-  Matrix zn;
-  matmul(hn_cache_, w_neigh_.value, zn);
-  add_inplace(z, zn);
-  add_bias(z, bias_.value.data());
-  if (relu_) relu_forward(z, relu_mask_);
-  return z;
-}
-
-Matrix SagePoolLayer::backward(const GnnGraph& g, const Matrix& dout) {
-  Matrix dz = dout;
-  if (relu_) relu_backward(dz, relu_mask_);
-
-  Matrix gw;
-  matmul_at_b(x_cache_, dz, gw);
-  add_inplace(w_self_.grad, gw);
-  matmul_at_b(hn_cache_, dz, gw);
-  add_inplace(w_neigh_.grad, gw);
-  for (std::size_t r = 0; r < dz.rows(); ++r) {
-    auto row = dz.row(r);
-    auto brow = bias_.grad.row(0);
-    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
-  }
-
-  // Through the max: route dhn to the winning neighbor's message.
-  Matrix dhn;
-  matmul_a_bt(dz, w_neigh_.value, dhn);
-  Matrix dpooled(pooled_.rows(), pooled_.cols());
-  const std::size_t k = pooled_.cols();
-  for (std::size_t v = 0; v < g.num_nodes; ++v) {
-    const auto drow = dhn.row(v);
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto u = argmax_[v * k + c];
-      if (u != kInvalidId) dpooled(u, c) += drow[c];
-    }
-  }
-  relu_backward(dpooled, pool_mask_);
-  matmul_at_b(x_cache_, dpooled, gw);
-  add_inplace(w_pool_.grad, gw);
-  for (std::size_t r = 0; r < dpooled.rows(); ++r) {
-    auto row = dpooled.row(r);
-    auto brow = b_pool_.grad.row(0);
-    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
-  }
-
-  Matrix dx;
-  matmul_a_bt(dz, w_self_.value, dx);
-  Matrix dx_pool;
-  matmul_a_bt(dpooled, w_pool_.value, dx_pool);
-  add_inplace(dx, dx_pool);
-  return dx;
-}
-
-// -------------------------------------------------------------- GcnLayer
-
-void gcn_propagate(const GnnGraph& g, const Matrix& x, Matrix& out) {
-  out = Matrix(x.rows(), x.cols());
-  // Ahat = D^-1/2 (A + I) D^-1/2 with degrees counted incl. self loops.
-  auto norm = [&](std::size_t v) {
-    return 1.0f / std::sqrt(static_cast<float>(g.degree(v) + 1));
-  };
-  for (std::size_t v = 0; v < g.num_nodes; ++v) {
-    const float nv = norm(v);
-    auto orow = out.row(v);
-    const auto xrow = x.row(v);
-    for (std::size_t c = 0; c < orow.size(); ++c)
-      orow[c] += nv * nv * xrow[c];  // self loop
-    for (std::size_t k = g.offsets[v]; k < g.offsets[v + 1]; ++k) {
-      const auto u = g.neighbors[k];
-      const float w = nv * norm(u);
-      const auto urow = x.row(u);
-      for (std::size_t c = 0; c < orow.size(); ++c) orow[c] += w * urow[c];
-    }
-  }
-}
-
-GcnLayer::GcnLayer(std::size_t in_dim, std::size_t out_dim, bool relu,
-                   Rng& rng)
-    : relu_(relu) {
-  w_.init_glorot(in_dim, out_dim, rng);
-  bias_.init_zero(1, out_dim);
-}
-
-Matrix GcnLayer::forward(const GnnGraph& g, const Matrix& x) {
-  x_cache_ = x;
-  Matrix xw;
-  matmul(x, w_.value, xw);
-  Matrix z;
-  gcn_propagate(g, xw, z);
-  add_bias(z, bias_.value.data());
-  if (relu_) relu_forward(z, relu_mask_);
-  return z;
-}
-
-Matrix GcnLayer::backward(const GnnGraph& g, const Matrix& dout) {
-  Matrix dz = dout;
-  if (relu_) relu_backward(dz, relu_mask_);
-  for (std::size_t r = 0; r < dz.rows(); ++r) {
-    auto row = dz.row(r);
-    auto brow = bias_.grad.row(0);
-    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
-  }
-  // Z = Ahat (X W);  Ahat is symmetric.
-  Matrix dxw;
-  gcn_propagate(g, dz, dxw);
-  Matrix gw;
-  matmul_at_b(x_cache_, dxw, gw);
-  add_inplace(w_.grad, gw);
-  Matrix dx;
-  matmul_a_bt(dxw, w_.value, dx);
   return dx;
 }
 
@@ -276,11 +119,7 @@ Matrix DenseLayer::backward(const Matrix& dout) {
   Matrix gw;
   matmul_at_b(x_cache_, dout, gw);
   add_inplace(w_.grad, gw);
-  for (std::size_t r = 0; r < dout.rows(); ++r) {
-    auto row = dout.row(r);
-    auto brow = bias_.grad.row(0);
-    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
-  }
+  add_column_sums(bias_.grad, dout);
   Matrix dx;
   matmul_a_bt(dout, w_.value, dx);
   return dx;

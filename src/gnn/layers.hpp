@@ -1,7 +1,6 @@
 #pragma once
 // GNN building blocks with manual backpropagation: the mean-aggregator
-// GraphSAGE layer of Eq. 3-4, a GCN layer (the alternative engine the
-// paper mentions), and a dense output head.
+// GraphSAGE layer of Eq. 3-4 and a dense output head.
 
 #include <cstdint>
 #include <vector>
@@ -53,84 +52,26 @@ struct Param {
 
 /// GraphSAGE layer (mean aggregator):
 ///   h_v = relu(W_self * x_v + W_neigh * mean(x_u) + b)   (Eq. 3-4 with
-/// CONCAT expressed as two weight blocks). `relu` optional (off for the
-/// last hidden layer feeding the head if desired).
+/// CONCAT expressed as two weight blocks).
 class SageLayer {
  public:
-  SageLayer(std::size_t in_dim, std::size_t out_dim, bool relu, Rng& rng);
+  SageLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
   Matrix forward(const GnnGraph& g, const Matrix& x);
   /// Returns gradient w.r.t. the layer input; accumulates param grads.
   Matrix backward(const GnnGraph& g, const Matrix& dout);
 
   std::vector<Param*> params() { return {&w_self_, &w_neigh_, &bias_}; }
-  const Param& w_self() const { return w_self_; }
-  const Param& w_neigh() const { return w_neigh_; }
-  const Param& bias() const { return bias_; }
 
  private:
   Param w_self_;   // in x out
   Param w_neigh_;  // in x out
   Param bias_;     // 1 x out
-  bool relu_;
   // forward caches
   Matrix x_cache_;
   Matrix hn_cache_;
   Matrix relu_mask_;
 };
-
-/// GraphSAGE max-pooling aggregator (the pool variant of [14]):
-///   h_N(v) = max_{u in N(v)} relu(W_pool x_u + b_pool)
-///   h_v    = relu(W_self x_v + W_neigh h_N(v) + b)
-/// The elementwise max routes gradients to the winning neighbor.
-class SagePoolLayer {
- public:
-  SagePoolLayer(std::size_t in_dim, std::size_t out_dim, bool relu, Rng& rng);
-
-  Matrix forward(const GnnGraph& g, const Matrix& x);
-  Matrix backward(const GnnGraph& g, const Matrix& dout);
-
-  std::vector<Param*> params() {
-    return {&w_pool_, &b_pool_, &w_self_, &w_neigh_, &bias_};
-  }
-
- private:
-  Param w_pool_;   // in x pool (pool == out for simplicity)
-  Param b_pool_;   // 1 x pool
-  Param w_self_;   // in x out
-  Param w_neigh_;  // pool x out
-  Param bias_;     // 1 x out
-  bool relu_;
-  // caches
-  Matrix x_cache_;
-  Matrix pooled_;       // n x pool (post-relu per-node messages)
-  Matrix pool_mask_;    // relu mask of the message transform
-  Matrix hn_cache_;     // n x pool (max-aggregated)
-  std::vector<std::uint32_t> argmax_;  // n * pool winner node ids
-  Matrix relu_mask_;
-};
-
-/// GCN layer: h = relu(Ahat * x * W + b) with the symmetric-normalized
-/// adjacency Ahat = D^-1/2 (A + I) D^-1/2.
-class GcnLayer {
- public:
-  GcnLayer(std::size_t in_dim, std::size_t out_dim, bool relu, Rng& rng);
-
-  Matrix forward(const GnnGraph& g, const Matrix& x);
-  Matrix backward(const GnnGraph& g, const Matrix& dout);
-
-  std::vector<Param*> params() { return {&w_, &bias_}; }
-
- private:
-  Param w_;     // in x out
-  Param bias_;  // 1 x out
-  bool relu_;
-  Matrix x_cache_;
-  Matrix relu_mask_;
-};
-
-/// Normalized propagation z[v] = sum_u coef(u,v) x[u] with self loops.
-void gcn_propagate(const GnnGraph& g, const Matrix& x, Matrix& out);
 
 /// Dense head: logits = x * W + b.
 class DenseLayer {

@@ -22,8 +22,7 @@ std::string format_gnn(const GnnModel& model) {
   const GnnModelConfig& cfg = model.config();
   util::TextOut out(9);
   out << "gnn " << cfg.input_dim << ' ' << cfg.hidden_dim << ' '
-      << cfg.num_layers << ' ' << static_cast<int>(cfg.engine) << ' '
-      << cfg.seed << '\n';
+      << cfg.num_layers << " 0 " << cfg.seed << '\n';
   for (Param* p : const_cast<GnnModel&>(model).params()) {
     out << p->value.rows() << ' ' << p->value.cols() << '\n';
     for (float v : p->value.data()) out << v << ' ';
@@ -45,9 +44,15 @@ GnnModel GnnModel::load(std::istream& is, std::string source) {
   cfg.input_dim = tr.size_at_most("input dim", kMaxDim);
   cfg.hidden_dim = tr.size_at_most("hidden dim", kMaxDim);
   cfg.num_layers = tr.size_at_most("layer count", 1'000);
-  cfg.engine = static_cast<GnnEngine>(tr.integer_in(
-      "engine kind", 0, static_cast<int>(GnnEngine::kGraphSagePool)));
+  // Kept so existing files load; 0 (GraphSAGE mean) is the only engine.
+  static_cast<void>(tr.integer_in("engine kind", 0, 0));
   cfg.seed = tr.size("seed");
+  // A corrupt header must not allocate gigabytes of weights before the
+  // first parameter is checked.
+  constexpr std::size_t kMaxParams = std::size_t{1} << 24;
+  if (param_count(cfg) > kMaxParams)
+    tr.fail("header implies more than " + std::to_string(kMaxParams) +
+            " parameters");
   GnnModel model(cfg);
   for (Param* p : model.params()) {
     const std::size_t rows = tr.size("parameter rows");

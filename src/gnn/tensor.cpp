@@ -73,6 +73,15 @@ void add_bias(Matrix& y, std::span<const float> bias) {
   }
 }
 
+void add_column_sums(Matrix& grad_row, const Matrix& dz) {
+  assert(grad_row.rows() == 1 && grad_row.cols() == dz.cols());
+  auto brow = grad_row.row(0);
+  for (std::size_t r = 0; r < dz.rows(); ++r) {
+    const auto row = dz.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) brow[c] += row[c];
+  }
+}
+
 void relu_forward(Matrix& x, Matrix& mask) {
   mask = Matrix(x.rows(), x.cols());
   auto xd = x.data();

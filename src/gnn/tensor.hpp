@@ -57,6 +57,9 @@ void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
 void add_inplace(Matrix& y, const Matrix& x);
 /// Add a row vector (bias) to every row.
 void add_bias(Matrix& y, std::span<const float> bias);
+/// grad_row (1 x n) += column sums of dz (m x n), rows in ascending
+/// order: the bias gradient of a layer with output gradient dz.
+void add_column_sums(Matrix& grad_row, const Matrix& dz);
 
 /// Elementwise ReLU forward; `mask` records activation for backward.
 void relu_forward(Matrix& x, Matrix& mask);

@@ -21,6 +21,9 @@ obs::Counter& g_epochs_total = obs::counter("gnn.epochs");
 obs::Histogram& g_epoch_hist =
     obs::histogram("gnn.epoch_seconds", kEpochBounds);
 
+// Smallest loss improvement that resets the early-stopping count.
+constexpr double kMinDelta = 1e-5;
+
 }  // namespace
 
 double bce_with_logits(const Matrix& logits, std::span<const float> labels,
@@ -79,24 +82,21 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
   TrainReport report;
   Stopwatch sw;
 
-  float pos_weight = cfg.pos_weight;
-  if (pos_weight <= 0.0f) {
-    std::size_t pos = 0;
-    std::size_t neg = 0;
-    for (const auto& s : samples) {
-      for (std::size_t i = 0; i < s.labels.size(); ++i) {
-        if (!s.mask.empty() && !s.mask[i]) continue;
-        (s.labels[i] >= 0.5f ? pos : neg)++;
-      }
+  std::size_t pos = 0;
+  std::size_t neg = 0;
+  for (const auto& s : samples) {
+    for (std::size_t i = 0; i < s.labels.size(); ++i) {
+      if (!s.mask.empty() && !s.mask[i]) continue;
+      (s.labels[i] >= 0.5f ? pos : neg)++;
     }
-    pos_weight = pos > 0 ? static_cast<float>(neg) / static_cast<float>(pos)
-                         : 1.0f;
-    pos_weight = std::min(pos_weight, 50.0f);
   }
+  const float pos_weight = std::min(
+      pos > 0 ? static_cast<float>(neg) / static_cast<float>(pos) : 1.0f,
+      50.0f);
 
   obs::Span train_span("gnn.train");
 
-  Adam opt(model.params(), cfg.adam);
+  Adam opt(model.params(), cfg.lr);
   double best_loss = std::numeric_limits<double>::infinity();
   std::size_t stall = 0;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -133,7 +133,7 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
     if (epoch % 25 == 0)
       log_debug("gnn epoch %zu loss %.6f", epoch, epoch_loss);
     if (cfg.patience > 0) {
-      if (epoch_loss < best_loss - cfg.min_delta) {
+      if (epoch_loss < best_loss - kMinDelta) {
         best_loss = epoch_loss;
         stall = 0;
       } else if (++stall >= cfg.patience) {

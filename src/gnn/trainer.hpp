@@ -24,16 +24,15 @@ enum class LossKind : std::uint8_t {
   kMeanSquaredError,    ///< regression on sigmoid output (Section 5.3)
 };
 
+/// Positive examples are weighted #neg / #pos over the training set,
+/// capped at 50.
 struct TrainConfig {
   std::size_t epochs = 150;
-  AdamConfig adam{.lr = 0.01f};
+  float lr = 0.01f;  ///< Adam learning rate
   LossKind loss = LossKind::kBinaryCrossEntropy;
-  /// Weight applied to positive examples; 0 = auto (#neg / #pos).
-  float pos_weight = 0.0f;
-  /// Stop early when the loss improves by less than `min_delta` for
-  /// `patience` consecutive epochs (0 = disabled).
+  /// Stop early when the loss improves by less than 1e-5 for `patience`
+  /// consecutive epochs (0 = disabled).
   std::size_t patience = 25;
-  double min_delta = 1e-5;
 };
 
 struct TrainReport {

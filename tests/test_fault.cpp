@@ -239,11 +239,19 @@ TEST(Corpus, MacrosFailWithStructuredParseErrors) {
 
 TEST(Corpus, GnnModelsFailWithStructuredParseErrors) {
   const fs::path corpus(TMM_TEST_CORPUS_DIR);
-  for (const char* f : {"nan_weight.gnn", "truncated.gnn"}) {
+  // huge_dims.gnn: a header implying ~512M weights is refused before
+  // the model is built. gcn_engine.gnn: engine kinds other than 0 are gone.
+  for (const char* f : {"nan_weight.gnn", "truncated.gnn", "huge_dims.gnn",
+                        "gcn_engine.gnn"}) {
     const std::string path = (corpus / f).string();
-    EXPECT_EQ(code_of([&] { static_cast<void>(load_gnn_file(path)); }),
-              fault::ErrorCode::kParse)
-        << f;
+    try {
+      static_cast<void>(load_gnn_file(path));
+      FAIL() << f << ": expected FlowError";
+    } catch (const fault::FlowError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kParse) << f << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(f), std::string::npos)
+          << f << ": " << e.what();
+    }
   }
 }
 
