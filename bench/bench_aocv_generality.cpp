@@ -26,6 +26,7 @@ int main() {
               "model (designs at 1/%zu TAU scale) ==\n",
               scale);
 
+  obs::set_tracing_enabled(true);  // train_framework prints span totals
   AocvConfig aocv;
   aocv.enabled = true;
 

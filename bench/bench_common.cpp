@@ -6,6 +6,8 @@
 #include <fstream>
 #include <thread>
 
+#include "util/json.hpp"
+
 // Short git SHA of the checkout, stamped at configure time by
 // bench/CMakeLists.txt; "unknown" outside a git checkout.
 #ifndef TMM_GIT_SHA
@@ -13,6 +15,19 @@
 #endif
 
 namespace tmm::bench {
+
+namespace {
+
+/// Seconds of sensitivity-data generation: the flow.train.design:*
+/// stages summed (0 when tracing is off).
+double data_generation_seconds(const TrainingSummary& sum) {
+  double seconds = 0.0;
+  for (const obs::SpanTotal& st : sum.stage_timings)
+    if (st.name.starts_with("flow.train.design:")) seconds += st.seconds;
+  return seconds;
+}
+
+}  // namespace
 
 TrainingSummary train_framework(Framework& fw, std::size_t train_scale) {
   const Library& lib = generate_library();  // only for suite signatures
@@ -30,7 +45,7 @@ TrainingSummary train_framework(Framework& fw, std::size_t train_scale) {
       "%zu epochs, loss %.4f, data-gen %.1fs, train %.1fs\n",
       sum.labeled_pins, sum.positives, sum.mean_filtered_fraction * 100.0,
       sum.report.epochs_run, sum.report.final_loss,
-      sum.data_generation_seconds, sum.report.seconds);
+      data_generation_seconds(sum), sum.report.seconds);
   return sum;
 }
 
@@ -53,28 +68,6 @@ std::string fmt_mb(std::size_t bytes) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// JSON has no NaN/Inf literals; clamp them so the file always parses.
 std::string json_num(double v) {
   if (!std::isfinite(v)) return "0";
@@ -88,18 +81,18 @@ void write_kv_object(std::ofstream& os,
                      const char* indent) {
   os << "{";
   for (std::size_t i = 0; i < kv.size(); ++i) {
-    os << (i ? "," : "") << "\n" << indent << "  \""
-       << json_escape(kv[i].first) << "\": " << json_num(kv[i].second);
+    os << (i ? "," : "") << "\n" << indent << "  "
+       << util::json_quoted(kv[i].first) << ": " << json_num(kv[i].second);
   }
   if (!kv.empty()) os << "\n" << indent;
   os << "}";
 }
 
-void write_stages(std::ofstream& os, const std::vector<StageTiming>& stages,
+void write_stages(std::ofstream& os, const std::vector<obs::SpanTotal>& stages,
                   const char* indent) {
   std::vector<std::pair<std::string, double>> kv;
   kv.reserve(stages.size());
-  for (const auto& st : stages) kv.emplace_back(st.stage, st.seconds);
+  for (const auto& st : stages) kv.emplace_back(st.name, st.seconds);
   write_kv_object(os, kv, indent);
 }
 
@@ -112,6 +105,7 @@ void JsonReport::set_meta(const std::string& key, double value) {
 void JsonReport::add_training(const std::string& label,
                               const TrainingSummary& sum) {
   trainings_.push_back({label, sum});
+  obs::reset_trace();
 }
 
 void JsonReport::add_result(const std::string& design, const std::string& impl,
@@ -139,6 +133,7 @@ void JsonReport::add_result(const std::string& design, const std::string& impl,
   };
   rec.stages = r.stage_timings;
   rows_.push_back(std::move(rec));
+  obs::reset_trace();  // the stages are copied; hold one run's spans at most
 }
 
 void JsonReport::add_row(
@@ -167,23 +162,23 @@ bool JsonReport::write() const {
   std::tm utc{};
   if (gmtime_r(&now, &utc) != nullptr)
     std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &utc);
-  os << "{\n  \"bench\": \"" << json_escape(name_)
-     << "\",\n  \"environment\": {\n    \"git_sha\": \""
-     << json_escape(TMM_GIT_SHA) << "\",\n    \"utc_timestamp\": \"" << stamp
-     << "\",\n    \"host_cores\": " << std::thread::hardware_concurrency()
-     << "\n  },\n  \"meta\": ";
+  os << "{\n  \"bench\": " << util::json_quoted(name_)
+     << ",\n  \"environment\": {\n    \"git_sha\": "
+     << util::json_quoted(TMM_GIT_SHA) << ",\n    \"utc_timestamp\": \""
+     << stamp << "\",\n    \"host_cores\": "
+     << std::thread::hardware_concurrency() << "\n  },\n  \"meta\": ";
   write_kv_object(os, meta_, "  ");
   os << ",\n  \"training\": [";
   for (std::size_t i = 0; i < trainings_.size(); ++i) {
     const TrainingRec& t = trainings_[i];
-    os << (i ? "," : "") << "\n    {\n      \"label\": \""
-       << json_escape(t.label) << "\",\n      \"designs\": "
+    os << (i ? "," : "") << "\n    {\n      \"label\": "
+       << util::json_quoted(t.label) << ",\n      \"designs\": "
        << t.sum.designs << ",\n      \"labeled_pins\": " << t.sum.labeled_pins
        << ",\n      \"positives\": " << t.sum.positives
        << ",\n      \"mean_filtered_fraction\": "
        << json_num(t.sum.mean_filtered_fraction)
        << ",\n      \"data_generation_seconds\": "
-       << json_num(t.sum.data_generation_seconds)
+       << json_num(data_generation_seconds(t.sum))
        << ",\n      \"epochs_run\": " << t.sum.report.epochs_run
        << ",\n      \"final_loss\": " << json_num(t.sum.report.final_loss)
        << ",\n      \"train_seconds\": " << json_num(t.sum.report.seconds)
@@ -195,9 +190,9 @@ bool JsonReport::write() const {
   os << "],\n  \"rows\": [";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const RowRec& r = rows_[i];
-    os << (i ? "," : "") << "\n    {\n      \"design\": \""
-       << json_escape(r.design) << "\",\n      \"impl\": \""
-       << json_escape(r.impl) << "\",\n      \"metrics\": ";
+    os << (i ? "," : "") << "\n    {\n      \"design\": "
+       << util::json_quoted(r.design) << ",\n      \"impl\": "
+       << util::json_quoted(r.impl) << ",\n      \"metrics\": ";
     write_kv_object(os, r.metrics, "      ");
     os << ",\n      \"stages\": ";
     write_stages(os, r.stages, "      ");

@@ -55,6 +55,11 @@ double mean_ratio(const std::vector<double>& baseline,
 /// `BENCH_<name>.json` in the working directory (overridable with
 /// TMM_BENCH_JSON_DIR) so CI and plotting scripts never have to scrape
 /// the human-oriented table output. Schema: docs/OBSERVABILITY.md.
+///
+/// The `stages` of a row are the run's span breakdown
+/// (DesignResult::stage_timings), so benches that report them turn obs
+/// tracing on first. Adding a result or a training drops the buffered
+/// trace events: a long bench holds the spans of one run at a time.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
@@ -87,7 +92,7 @@ class JsonReport {
     std::string design;
     std::string impl;
     std::vector<std::pair<std::string, double>> metrics;
-    std::vector<StageTiming> stages;
+    std::vector<obs::SpanTotal> stages;
   };
   struct TrainingRec {
     std::string label;

@@ -22,6 +22,7 @@ int main() {
               scale);
 
   JsonReport report("table3_cppr");
+  obs::set_tracing_enabled(true);  // rows carry span stage timings
   report.set_meta("scale", static_cast<double>(scale));
   report.set_meta("train_scale", static_cast<double>(train_scale));
 

@@ -55,6 +55,7 @@ int main() {
     return c;
   }());
   JsonReport report("table4_cppr_feature");
+  obs::set_tracing_enabled(true);  // rows carry span stage timings
   report.set_meta("scale", static_cast<double>(scale));
   report.set_meta("train_scale", static_cast<double>(train_scale));
   std::printf("-- training 'Before' (8 basic features)\n");

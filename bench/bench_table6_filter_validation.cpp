@@ -21,6 +21,7 @@ int main() {
               scale);
 
   JsonReport report("table6_filter_validation");
+  obs::set_tracing_enabled(true);  // rows carry span stage timings
   report.set_meta("scale", static_cast<double>(scale));
 
   FlowConfig cfg;

@@ -1,7 +1,6 @@
 #include "analysis/serve_lint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -16,41 +15,6 @@ namespace tmm::analysis {
 
 namespace {
 
-/// Minimal bounds-checked little-endian cursor over the payload. The
-/// linter re-walks the record layout (serve/tmb.cpp is the format
-/// owner) so it can keep going past the first bad LUT record instead of
-/// throwing like the loader does; the layout is frozen by kTmbVersion.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  bool u32(std::uint32_t& v) { return raw(&v, sizeof v); }
-  bool u64(std::uint64_t& v) { return raw(&v, sizeof v); }
-  bool skip(std::uint64_t n) {
-    if (n > size_ - pos_) return false;
-    pos_ += n;
-    return true;
-  }
-  std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  bool raw(void* out, std::size_t n) {
-    if (n > size_ - pos_) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-/// Fixed record strides of format version 1 (see pack_model).
-constexpr std::uint64_t kNodeBytes = 8 * 4 + 8;
-constexpr std::uint64_t kArcBytes = 7 * 4 + 8;
-constexpr std::uint64_t kCheckBytes = 4 * 4;
-constexpr std::uint64_t kMaxRecords = 100'000'000;
-
 void add_image_error(LintReport& report, const std::string& source,
                      std::string message) {
   report.add(rule::kTmbImage, Severity::kError, source, std::move(message),
@@ -58,104 +22,34 @@ void add_image_error(LintReport& report, const std::string& source,
              "produce a valid image (writes are atomic)");
 }
 
-/// Walk every LUT record and report each one whose slice escapes the
-/// arena. Returns false when anything was reported: a truncated walk
-/// (S001) or one or more out-of-bounds records (S002).
-bool lint_arena_bounds(const std::string& image, const std::string& source,
-                       LintReport& report) {
-  Cursor c(image.data() + serve::kTmbHeaderBytes,
-           image.size() - serve::kTmbHeaderBytes);
-  std::uint32_t name_len = 0;
-  if (!c.u32(name_len) || !c.skip(name_len)) {
-    add_image_error(report, source, "truncated design name");
-    return false;
-  }
-  std::uint32_t nn = 0, na = 0, nc = 0, npo = 0, strtab_len = 0, ntab = 0;
-  std::uint64_t narena = 0;
-  if (!c.u32(nn) || !c.u32(na) || !c.u32(nc) || !c.u32(npo) ||
-      !c.u32(strtab_len) || !c.u32(ntab) || !c.u64(narena)) {
-    add_image_error(report, source, "truncated section-count header");
-    return false;
-  }
-  if (nn > kMaxRecords || na > kMaxRecords || nc > kMaxRecords ||
-      npo > kMaxRecords || ntab > kMaxRecords || narena > kMaxRecords) {
-    add_image_error(report, source, "implausible record count in header");
-    return false;
-  }
-  if (!c.skip(nn * kNodeBytes) || !c.skip(npo * 4ull) ||
-      !c.skip(na * kArcBytes) || !c.skip(nc * kCheckBytes)) {
-    add_image_error(report, source, "truncated record section");
-    return false;
-  }
-  bool in_bounds = true;
-  for (std::uint64_t i = 0; i < ntab; ++i) {
-    std::uint32_t ni = 0, nj = 0;
-    std::uint64_t off = 0;
-    if (!c.u32(ni) || !c.u32(nj) || !c.u64(off)) {
-      add_image_error(report, source, "truncated table section");
-      return false;
-    }
-    const std::uint64_t nvals =
-        ni == 0 ? 1
-                : static_cast<std::uint64_t>(ni) * std::max<std::uint64_t>(nj, 1);
-    const std::uint64_t need = ni + nj + nvals;
-    if (off > narena || need > narena - off) {
-      in_bounds = false;
-      report.add(rule::kTmbArena, Severity::kError,
-                 source + " table " + std::to_string(i),
-                 "lut record [" + std::to_string(off) + ", " +
-                     std::to_string(off + need) + ") escapes the " +
-                     std::to_string(narena) + "-double arena",
-                 "the image was not produced by pack_model; re-pack "
-                 "from the source .macro");
-    }
-  }
-  return in_bounds;
-}
-
 }  // namespace
 
 LintReport lint_tmb_image(const std::string& image,
                           const std::string& source) {
   LintReport report;
-
-  // Header first: without a matching magic/version/CRC the payload
-  // bytes mean nothing and the record walk would chase noise.
-  if (image.size() < serve::kTmbHeaderBytes) {
-    add_image_error(report, source, "file shorter than the tmb header");
-    return report;
-  }
-  if (std::memcmp(image.data(), serve::kTmbMagic,
-                  sizeof serve::kTmbMagic) != 0) {
-    add_image_error(report, source, "not a tmb model (bad magic)");
-    return report;
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_size = 0;
-  std::uint32_t want_crc = 0;
-  std::memcpy(&version, image.data() + 4, 4);
-  std::memcpy(&payload_size, image.data() + 8, 8);
-  std::memcpy(&want_crc, image.data() + 16, 4);
-  if (version != serve::kTmbVersion) {
-    add_image_error(report, source,
-                    "unsupported tmb version " + std::to_string(version));
-    return report;
-  }
-  if (payload_size != image.size() - serve::kTmbHeaderBytes) {
-    add_image_error(report, source, "payload size mismatch (truncated file?)");
-    return report;
-  }
-  if (serve::crc32(image.data() + serve::kTmbHeaderBytes, payload_size) !=
-      want_crc) {
-    add_image_error(report, source,
-                    "payload checksum mismatch (corrupt or torn file)");
+  serve::TmbLayout layout;
+  if (std::string problem = serve::walk_tmb(image, layout); !problem.empty()) {
+    add_image_error(report, source, std::move(problem));
     return report;
   }
 
   // Exhaustive arena-bounds pass (S002), then the loader + model rules.
   // A bounds violation means unpack_model would throw on the same
-  // record, so stop here rather than report the failure twice.
-  if (!lint_arena_bounds(image, source, report)) return report;
+  // record, so stop there rather than report the failure twice.
+  bool in_bounds = true;
+  for (std::size_t i = 0; i < layout.tables.size(); ++i) {
+    const serve::TmbLut& t = layout.tables[i];
+    if (t.fits(layout.arena_doubles)) continue;
+    in_bounds = false;
+    report.add(rule::kTmbArena, Severity::kError,
+               source + " table " + std::to_string(i),
+               "lut record [" + std::to_string(t.off) + ", " +
+                   std::to_string(t.off + t.doubles()) + ") escapes the " +
+                   std::to_string(layout.arena_doubles) + "-double arena",
+               "the image was not produced by pack_model; re-pack "
+               "from the source .macro");
+  }
+  if (!in_bounds) return report;
 
   try {
     const MacroModel model = serve::unpack_model(image, source);
@@ -204,17 +98,13 @@ LintReport lint_registry_dir(const std::string& dir) {
                           file_report.count(rule::kTmbArena) == 0;
     report.merge(std::move(file_report));
     if (!loadable) continue;
-    // Cheap name probe: the design name sits right after the header.
     std::ifstream is(path, std::ios::binary);
     std::ostringstream buf;
     buf << is.rdbuf();
     const std::string image = buf.str();
-    Cursor c(image.data() + serve::kTmbHeaderBytes,
-             image.size() - serve::kTmbHeaderBytes);
-    std::uint32_t name_len = 0;
-    if (!c.u32(name_len) || name_len > c.remaining()) continue;
-    const std::string name =
-        image.substr(serve::kTmbHeaderBytes + 4, name_len);
+    serve::TmbLayout layout;
+    if (!serve::walk_tmb(image, layout).empty()) continue;
+    const std::string name(layout.design_name);
     const auto [it, inserted] = names.emplace(name, path);
     if (!inserted)
       report.add(rule::kRegistryDupName, Severity::kError, path,

@@ -3,12 +3,12 @@
 // images and registry directories.
 //
 // The loader (serve/tmb.cpp) already rejects corrupt images, but it
-// throws on the *first* problem it meets. The linter instead walks the
-// record sections standalone and reports *every* violation it can
-// reach — in particular every LUT record whose [off, off+need) slice
-// escapes the double arena (S002), the corruption class a fuzzer or a
-// bad pack most plausibly produces — before handing a loadable model to
-// the regular graph/model rules.
+// throws on the *first* problem it meets. The linter walks the image
+// with the loader's own section walk (serve::walk_tmb) and then reports
+// *every* LUT record whose [off, off+need) slice escapes the double
+// arena (S002), the corruption class a fuzzer or a bad pack most
+// plausibly produces — before handing a loadable model to the regular
+// graph/model rules.
 //
 // Rules:
 //   S001  image unreadable / structurally corrupt (bad magic, version,

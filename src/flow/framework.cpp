@@ -35,6 +35,15 @@ void validate_stage(bool enabled, const char* stage, const TimingGraph& g) {
                              stage + "':\n" + report.to_string());
 }
 
+/// The GNN input of one ILM graph: its structure and node features.
+GraphSample gnn_input(const TimingGraph& ilm, bool cppr_feature) {
+  obs::Span span("gnn.features");
+  GraphSample sample;
+  sample.graph = GnnGraph::from_timing_graph(ilm);
+  sample.features = extract_features(ilm, cppr_feature);
+  return sample;
+}
+
 }  // namespace
 
 Framework::Framework(FlowConfig cfg) : cfg_(std::move(cfg)) {
@@ -60,7 +69,6 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
   if (!cfg_.checkpoint_dir.empty())
     ckpt = flow::Checkpoint::open(cfg_.checkpoint_dir, cfg_);
   TrainingSummary summary;
-  Stopwatch data_sw;
   std::vector<GraphSample> samples;
   std::vector<std::vector<double>> per_design_ts;
   samples.reserve(designs.size());
@@ -69,7 +77,6 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
   for (const Design& d : designs) {
     const std::string design_span_name = "flow.train.design:" + d.name();
     obs::Span design_span(design_span_name.c_str());
-    Stopwatch design_sw;
     // Per-design isolation: one failing training design (corrupt
     // netlist, numeric corruption, injected fault) is skipped with a
     // diagnostic instead of aborting training; its data simply does not
@@ -112,9 +119,7 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
                  d.name().c_str(), sens.failed_pins, sens.skipped_sets);
       }
 
-      GraphSample sample;
-      sample.graph = GnnGraph::from_timing_graph(ilm.graph);
-      sample.features = extract_features(ilm.graph, cfg_.cppr_feature);
+      GraphSample sample = gnn_input(ilm.graph, cfg_.cppr_feature);
       sample.labels = sens.labels;
       sample.mask.assign(ilm.graph.num_nodes(), 1);
       for (NodeId n = 0; n < ilm.graph.num_nodes(); ++n)
@@ -135,17 +140,12 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
       log_error("train design %s failed, skipped: %s", d.name().c_str(),
                 e.what());
     }
-    summary.stage_timings.push_back(
-        {"data_generation:" + d.name(), design_sw.seconds()});
   }
   if (summary.designs == 0 && !designs.empty())
     throw fault::FlowError(
         fault::ErrorCode::kUnavailable, "flow.train",
         "every training design failed (first: " + summary.failed.front().design +
             ": " + summary.failed.front().error + ")");
-  summary.data_generation_seconds = data_sw.seconds();
-  summary.stage_timings.push_back(
-      {"data_generation", summary.data_generation_seconds});
   if (summary.designs > 0)
     summary.mean_filtered_fraction =
         filtered_sum / static_cast<double>(summary.designs);
@@ -191,9 +191,9 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
     if (cfg_.regression) tcfg.loss = LossKind::kMeanSquaredError;
     summary.report = train_model(*gnn_, samples, tcfg);
     ckpt.save_model(*gnn_);
-    summary.stage_timings.push_back({"gnn_training", summary.report.seconds});
   }
   obs::trace_rss_sample();
+  summary.stage_timings = train_span.closed_children();
   return summary;
 }
 
@@ -206,9 +206,9 @@ std::vector<bool> Framework::predict_keep(const TimingGraph& ilm,
     for (NodeId n = 0; n < ilm.num_nodes(); ++n) keep[n] = fr.remained[n];
   } else {
     if (!gnn_) throw std::logic_error("Framework: model not trained");
-    const GnnGraph graph = GnnGraph::from_timing_graph(ilm);
-    const Matrix features = extract_features(ilm, cfg_.cppr_feature);
-    const auto probs = gnn_->predict(graph, features);
+    obs::Span span("gnn.infer");
+    const GraphSample in = gnn_input(ilm, cfg_.cppr_feature);
+    const auto probs = gnn_->predict(in.graph, in.features);
     const float threshold =
         cfg_.regression ? cfg_.regression_keep_threshold : cfg_.keep_threshold;
     for (NodeId n = 0; n < ilm.num_nodes(); ++n)
@@ -261,19 +261,11 @@ DesignResult Framework::run_design(const Design& design) {
   obs::Span run_span(span_name.c_str());
   obs::trace_rss_sample();
   fault::inject("flow.design");
-  std::vector<StageTiming> stages;
-  Stopwatch stage_sw;
-  auto mark = [&](const char* stage) {
-    stages.push_back({stage, stage_sw.seconds()});
-    stage_sw.reset();
-  };
 
   const TimingGraph flat = build_timing_graph(design);
-  mark("build_flat_graph");
   Stopwatch gen_sw;
   IlmResult ilm = extract_ilm(flat);
   validate_stage(cfg_.validate_stages, "ilm", ilm.graph);
-  mark("ilm");
   GenerationStats gen;
   gen.ilm_pins = ilm.graph.num_live_nodes();
 
@@ -281,11 +273,9 @@ DesignResult Framework::run_design(const Design& design) {
   const auto keep = predict_keep(ilm.graph, &inference_seconds);
   for (bool k : keep)
     if (k) ++gen.pins_kept;
-  mark("inference");
 
   merge_insensitive_pins(ilm.graph, keep, cfg_.merge);
   validate_stage(cfg_.validate_stages, "merge/index-selection", ilm.graph);
-  mark("merge");
   gen.model_pins = ilm.graph.num_live_nodes();
   gen.generation_seconds = gen_sw.seconds();
   gen.generation_peak_rss = peak_rss_bytes();
@@ -301,60 +291,52 @@ DesignResult Framework::run_design(const Design& design) {
       throw std::runtime_error(
           "flow: invariant check failed on the generated model:\n" +
           report.to_string());
-    mark("validate");
   }
   DesignResult result = evaluate(design, flat, std::move(model), gen);
   result.inference_seconds = inference_seconds;
-  mark("evaluate");
-  result.stage_timings = std::move(stages);
+  result.stage_timings = run_span.closed_children();
+  return result;
+}
+
+DesignResult Framework::run_baseline(const obs::Span& root,
+                                     const Design& design,
+                                     const BaselineGenerator& generate) const {
+  const TimingGraph flat = build_timing_graph(design);
+  GenerationStats gen;
+  MacroModel model = generate(flat, &gen);
+  model.design_name = design.name();
+  DesignResult result = evaluate(design, flat, std::move(model), gen);
+  result.stage_timings = root.closed_children();
   return result;
 }
 
 DesignResult Framework::run_itimerm(const Design& design,
                                     const ITimerMConfig& cfg) {
   obs::Span span("flow.run_itimerm");
-  Stopwatch stage_sw;
-  const TimingGraph flat = build_timing_graph(design);
-  GenerationStats gen;
   ITimerMConfig effective = cfg;
   effective.protect_cppr = cfg_.cppr;
   effective.merge.aocv = cfg_.aocv;
-  MacroModel model = generate_itimerm_model(flat, effective, &gen);
-  model.design_name = design.name();
-  const double gen_seconds = stage_sw.seconds();
-  DesignResult result = evaluate(design, flat, std::move(model), gen);
-  result.stage_timings.push_back({"generate", gen_seconds});
-  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
-  return result;
+  return run_baseline(span, design,
+                      [&](const TimingGraph& flat, GenerationStats* gen) {
+                        return generate_itimerm_model(flat, effective, gen);
+                      });
 }
 
 DesignResult Framework::run_libabs(const Design& design,
                                    const LibAbsConfig& cfg) {
   obs::Span span("flow.run_libabs");
-  Stopwatch stage_sw;
-  const TimingGraph flat = build_timing_graph(design);
-  GenerationStats gen;
-  MacroModel model = generate_libabs_model(flat, cfg, &gen);
-  model.design_name = design.name();
-  const double gen_seconds = stage_sw.seconds();
-  DesignResult result = evaluate(design, flat, std::move(model), gen);
-  result.stage_timings.push_back({"generate", gen_seconds});
-  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
-  return result;
+  return run_baseline(span, design,
+                      [&](const TimingGraph& flat, GenerationStats* gen) {
+                        return generate_libabs_model(flat, cfg, gen);
+                      });
 }
 
 DesignResult Framework::run_etm(const Design& design, const EtmConfig& cfg) {
   obs::Span span("flow.run_etm");
-  Stopwatch stage_sw;
-  const TimingGraph flat = build_timing_graph(design);
-  GenerationStats gen;
-  MacroModel model = generate_etm_model(flat, cfg, &gen);
-  model.design_name = design.name();
-  const double gen_seconds = stage_sw.seconds();
-  DesignResult result = evaluate(design, flat, std::move(model), gen);
-  result.stage_timings.push_back({"generate", gen_seconds});
-  result.stage_timings.push_back({"evaluate", stage_sw.seconds() - gen_seconds});
-  return result;
+  return run_baseline(span, design,
+                      [&](const TimingGraph& flat, GenerationStats* gen) {
+                        return generate_etm_model(flat, cfg, gen);
+                      });
 }
 
 }  // namespace tmm

@@ -11,6 +11,7 @@
 // The same class also drives the baselines and the Table 4/6 ablations
 // (is_CPPR feature on/off; label-all-remained-pins).
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -22,6 +23,7 @@
 #include "macro/evaluate.hpp"
 #include "macro/model_io.hpp"
 #include "netlist/design.hpp"
+#include "obs/trace.hpp"
 #include "sensitivity/training_data.hpp"
 
 namespace tmm {
@@ -86,12 +88,6 @@ struct FlowConfig {
   std::size_t threads = 0;
 };
 
-/// One named flow stage and its wall-clock cost.
-struct StageTiming {
-  std::string stage;
-  double seconds = 0.0;
-};
-
 /// Everything the experiment tables report about one design.
 struct DesignResult {
   std::string design;
@@ -103,11 +99,11 @@ struct DesignResult {
   std::size_t usage_peak_rss = 0;
   /// In-memory footprint of the loaded model graph ("Usage Memory").
   std::size_t model_memory_bytes = 0;
-  /// Wall-clock breakdown of the run, one Stopwatch read per stage
-  /// (docs/OBSERVABILITY.md): build_flat_graph / ilm / inference /
-  /// merge / evaluate, plus validate when FlowConfig::validate_stages is
-  /// on; generate / evaluate for the baseline runs.
-  std::vector<StageTiming> stage_timings;
+  /// Wall-clock breakdown of the run: the spans directly under its root
+  /// span (docs/OBSERVABILITY.md), e.g. sta.graph_build, macro.ilm,
+  /// gnn.infer, macro.merge, macro.size, macro.evaluate. Empty when
+  /// tracing is off.
+  std::vector<obs::SpanTotal> stage_timings;
 };
 
 /// One skipped design and why (per-design isolation: a failing design
@@ -122,7 +118,6 @@ struct TrainingSummary {
   std::size_t designs = 0;  ///< designs successfully ingested
   std::size_t labeled_pins = 0;
   std::size_t positives = 0;
-  double data_generation_seconds = 0.0;
   double mean_filtered_fraction = 0.0;
   /// Degradation accounting (docs/ROBUSTNESS.md). `failed`: designs
   /// skipped entirely (their data contributed nothing). `degraded`:
@@ -135,9 +130,10 @@ struct TrainingSummary {
   /// instead of recomputed.
   std::size_t designs_from_checkpoint = 0;
   bool model_from_checkpoint = false;
-  /// Wall-clock breakdown (data_generation / gnn_training, plus one
-  /// data_generation:<design> entry per training design).
-  std::vector<StageTiming> stage_timings;
+  /// Wall-clock breakdown: the spans directly under flow.train, one
+  /// flow.train.design:<name> per training design, then gnn.train.
+  /// Empty when tracing is off.
+  std::vector<obs::SpanTotal> stage_timings;
 };
 
 class Framework {
@@ -177,6 +173,12 @@ class Framework {
   std::vector<BoundaryConstraints> eval_sets(const Design& design) const;
   DesignResult evaluate(const Design& design, const TimingGraph& flat,
                         MacroModel model, GenerationStats gen) const;
+  /// One baseline run under its entry point's root span: build the flat
+  /// graph, `generate` the model, evaluate it.
+  using BaselineGenerator =
+      std::function<MacroModel(const TimingGraph&, GenerationStats*)>;
+  DesignResult run_baseline(const obs::Span& root, const Design& design,
+                            const BaselineGenerator& generate) const;
 
   FlowConfig cfg_;
   std::optional<GnnModel> gnn_;

@@ -186,28 +186,6 @@ std::vector<double> default_slew_axis() {
   return {1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 120.0};
 }
 
-ComposedTables compose_serial(const TimingGraph& /*g*/, const GraphArc& a,
-                              const GraphArc& b, double mid_load_ff,
-                              const IndexSelectionConfig& cfg) {
-  const ArcSense sense = compose_sense(a.sense, b.sense);
-  auto exact = [&](unsigned el, unsigned orf, double s,
-                   double load) -> ArcEval {
-    ArcEval best{};
-    bool first = true;
-    const unsigned mrf_mask = input_transitions(b.sense, orf);
-    for (unsigned mrf = 0; mrf < kNumRf; ++mrf) {
-      if (!(mrf_mask & (1u << mrf))) continue;
-      const ArcEval ea = eval_arc(a, el, mrf, s, mid_load_ff);
-      const ArcEval eb = eval_arc(b, el, orf, ea.out_slew, load);
-      envelope(el, {ea.delay + eb.delay, eb.out_slew}, best, first);
-    }
-    return best;
-  };
-  const auto dense = sample(densify_axis(slew_axis_for(a, b)),
-                            densify_axis(load_axis_for(b)), exact);
-  return reindex(dense, sense, cfg);
-}
-
 ComposedTables compose_parallel(const TimingGraph& /*g*/, const GraphArc& a,
                                 const GraphArc& b, double /*sink_load_ff*/,
                                 const IndexSelectionConfig& cfg,

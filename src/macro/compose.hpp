@@ -1,14 +1,15 @@
 #pragma once
-// Timing-arc composition for serial/parallel merging (Section 5.2).
+// Timing-arc helpers for merging (Section 5.2).
 //
-// Serial: two arcs u->m and m->w are replaced by one arc u->w whose
-// delay/slew surfaces are the exact chained functions, *resampled* onto
-// a small index grid chosen by index selection. The load at the merged
-// pin m is statically folded in (which is why pins electrically tied to
-// primary-output nets must never be merged — their load is a boundary
-// constraint). If the second arc is load-independent (a wire, or an
-// already-merged interior arc), the composite becomes a 1-D slew-only
-// table — the compact interior form iTimerM-style models use.
+// Serial: merge.cpp replaces a whole chain u->...->w in one step
+// (eval_chain / build_chain_tables): the chain's exact per-transition
+// function is sampled and *resampled* onto a small index grid chosen by
+// index selection. The loads at the merged pins are statically folded in
+// (which is why pins electrically tied to primary-output nets must never
+// be merged — their load is a boundary constraint). If the last arc is
+// load-independent (a wire, or an already-merged interior arc), the
+// composite becomes a 1-D slew-only table — the compact interior form
+// iTimerM-style models use. compose_sense below is its sense algebra.
 //
 // Parallel: two arcs with the same endpoints are replaced by their
 // worst-case envelope (max for late, min for early).
@@ -39,15 +40,6 @@ struct ComposedTables {
 
 /// Sense algebra for serial chains.
 ArcSense compose_sense(ArcSense a, ArcSense b);
-
-/// Compose serial arcs a (u->m) then b (m->w). `mid_load_ff` is the
-/// static load at m consumed by arc a's table lookups. The exact chained
-/// function is sampled on a densified candidate grid and re-indexed by
-/// greedy selection. Worst-case over intermediate transitions when the
-/// unateness does not pin them down.
-ComposedTables compose_serial(const TimingGraph& g, const GraphArc& a,
-                              const GraphArc& b, double mid_load_ff,
-                              const IndexSelectionConfig& cfg);
 
 /// Envelope of two parallel arcs (same from/to): max delay/slew in the
 /// late corner, min in the early corner, sampled jointly. When AOCV is

@@ -27,7 +27,7 @@ AccuracyReport evaluate_accuracy(const TimingGraph& reference,
                                  const TimingGraph& model,
                                  std::span<const BoundaryConstraints> sets,
                                  const Sta::Options& options) {
-  obs::Span span("evaluate.accuracy");
+  obs::Span span("macro.evaluate");
   AccuracyReport report;
   Sta ref_sta(reference, options);
   Sta model_sta(model, options);

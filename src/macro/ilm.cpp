@@ -113,7 +113,7 @@ std::vector<bool> ilm_keep_set(const TimingGraph& flat) {
 }
 
 IlmResult extract_ilm(const TimingGraph& flat) {
-  obs::Span span("ilm.extract");
+  obs::Span span("macro.ilm");
   const std::vector<bool> keep = ilm_keep_set(flat);
   const std::size_t n = flat.num_nodes();
 

@@ -364,7 +364,7 @@ bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg) {
 MergeStats merge_insensitive_pins(TimingGraph& g,
                                   const std::vector<bool>& keep,
                                   const MergeConfig& cfg) {
-  obs::Span span("merge.insensitive_pins");
+  obs::Span span("macro.merge");
   MergeStats stats;
   LocalAdjacency adj(g);
   // Chains backing arcs created during this merge; primitive arcs have

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fault/token_reader.hpp"
+#include "obs/trace.hpp"
 #include "util/atomic_io.hpp"
 #include "util/text_out.hpp"
 
@@ -122,6 +123,7 @@ std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
 }
 
 std::size_t macro_model_size_bytes(const MacroModel& model) {
+  obs::Span span("macro.size");
   return format_macro_model(model).size();
 }
 
@@ -254,6 +256,7 @@ MacroModel read_macro_model_file(const std::string& path) {
 
 std::size_t write_macro_model_file(const MacroModel& model,
                                    const std::string& path) {
+  obs::Span span("macro.write");
   fault::inject("macro.write");
   const std::string s = format_macro_model(model);
   util::atomic_write_file(path, s).or_throw("macro.write", model.design_name);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/atomic_io.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 
 namespace tmm::obs {
@@ -108,15 +109,6 @@ Ring& local_ring() {
   return *h.ring;
 }
 
-void json_text(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 namespace detail {
@@ -196,11 +188,10 @@ void write_flight_dump_json(std::ostream& os) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
     os << "{\"seq\": " << rec.seq << ", \"request_id\": " << rec.request_id
-       << ", \"ts_us\": " << rec.ts_us << ", \"model\": ";
-    json_text(os, rec.model_str());
-    os << ", \"status\": ";
-    json_text(os, rec.status_str());
-    os << ", \"kind\": " << rec.kind
+       << ", \"ts_us\": " << rec.ts_us
+       << ", \"model\": " << util::json_quoted(rec.model_str())
+       << ", \"status\": " << util::json_quoted(rec.status_str())
+       << ", \"kind\": " << rec.kind
        << ", \"cache_hit\": " << ((rec.flags & kFlightCacheHit) != 0 ? 1 : 0);
     if ((rec.flags & kFlightHasDeadline) != 0)
       os << ", \"deadline_slack_ms\": " << rec.deadline_slack_ms;

@@ -9,6 +9,7 @@
 
 #include "util/atomic_io.hpp"
 #include "util/instrument.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 
 namespace tmm::obs {
@@ -87,15 +88,6 @@ RegistryImpl& registry() {
   return *r;
 }
 
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 Counter& counter(std::string_view name) {
@@ -136,7 +128,7 @@ void write_metrics_json(std::ostream& os) {
   for (const auto& [name, c] : r.counters) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    json_string(os, name);
+    os << util::json_quoted(name);
     os << ": " << c->value();
   }
   os << "\n  },\n  \"gauges\": {";
@@ -144,7 +136,7 @@ void write_metrics_json(std::ostream& os) {
   for (const auto& [name, g] : r.gauges) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    json_string(os, name);
+    os << util::json_quoted(name);
     os << ": " << g->value();
   }
   os << "\n  },\n  \"histograms\": {";
@@ -152,7 +144,7 @@ void write_metrics_json(std::ostream& os) {
   for (const auto& [name, h] : r.histograms) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    json_string(os, name);
+    os << util::json_quoted(name);
     os << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h->bounds().size(); ++i)
       os << (i ? "," : "") << h->bounds()[i];

@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -10,6 +10,7 @@
 
 #include "util/atomic_io.hpp"
 #include "util/instrument.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 
 namespace tmm::obs {
@@ -33,6 +34,7 @@ struct TraceEvent {
   std::string name;
   std::uint64_t ts_us = 0;
   std::uint64_t dur_us = 0;
+  std::uint32_t depth = 0;  // spans: nesting level at start
   char phase = 'X';  // 'X' complete span, 'C' counter sample
   bool has_arg = false;
   std::string arg_name;
@@ -63,6 +65,9 @@ Registry& registry() {
   return *r;
 }
 
+/// Traced spans open on this thread: the depth of the next one.
+thread_local std::uint32_t t_span_depth = 0;
+
 ThreadBuffer& local_buffer() {
   thread_local std::shared_ptr<ThreadBuffer> buf = [] {
     auto b = std::make_shared<ThreadBuffer>();
@@ -81,37 +86,16 @@ void append(TraceEvent ev) {
   buf.events.push_back(std::move(ev));
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          os << hex;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 void write_event(std::ostream& os, const TraceEvent& ev, std::uint32_t tid) {
-  os << "{\"name\":\"";
-  json_escape(os, ev.name);
-  os << "\",\"cat\":\"tmm\",\"ph\":\"" << ev.phase << "\",\"pid\":1,\"tid\":"
+  os << "{\"name\":" << util::json_quoted(ev.name)
+     << ",\"cat\":\"tmm\",\"ph\":\"" << ev.phase << "\",\"pid\":1,\"tid\":"
      << tid << ",\"ts\":" << ev.ts_us;
   if (ev.phase == 'X') os << ",\"dur\":" << ev.dur_us;
   if (ev.phase == 'C') {
     os << ",\"args\":{\"value\":" << ev.arg_value << "}";
   } else if (ev.has_arg) {
-    os << ",\"args\":{\"";
-    json_escape(os, ev.arg_name);
-    os << "\":" << ev.arg_value << "}";
+    os << ",\"args\":{" << util::json_quoted(ev.arg_name) << ":"
+       << ev.arg_value << "}";
   }
   os << "}";
 }
@@ -156,11 +140,15 @@ std::uint64_t trace_now_us() noexcept {
 
 namespace detail {
 
-void span_end(const char* name, std::uint64_t start_us, const char* arg_name,
-              double arg_value, bool has_arg) {
+std::uint32_t span_begin() noexcept { return t_span_depth++; }
+
+void span_end(const char* name, std::uint64_t start_us, std::uint32_t depth,
+              const char* arg_name, double arg_value, bool has_arg) {
+  t_span_depth = depth;
   TraceEvent ev;
   ev.name = name;
   ev.ts_us = start_us;
+  ev.depth = depth;
   const std::uint64_t now = trace_now_us();
   ev.dur_us = now > start_us ? now - start_us : 0;
   ev.phase = 'X';
@@ -170,6 +158,33 @@ void span_end(const char* name, std::uint64_t start_us, const char* arg_name,
     ev.arg_value = arg_value;
   }
   append(std::move(ev));
+}
+
+std::vector<SpanTotal> closed_children(std::uint32_t depth) {
+  ThreadBuffer& buf = local_buffer();
+  util::MutexLock lock(buf.mu);
+  const std::vector<TraceEvent>& events = buf.events;
+  // The parent is still open, so every span this thread closed at a
+  // shallower level closed before the parent started: the children are
+  // the spans at `depth` after the last such event.
+  std::size_t first = events.size();
+  while (first > 0 && !(events[first - 1].phase == 'X' &&
+                        events[first - 1].depth < depth))
+    --first;
+  std::vector<SpanTotal> out;
+  for (std::size_t i = first; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
+    if (ev.phase != 'X' || ev.depth != depth) continue;
+    const double seconds = static_cast<double>(ev.dur_us) * 1e-6;
+    auto it = std::find_if(out.begin(), out.end(), [&](const SpanTotal& t) {
+      return t.name == ev.name;
+    });
+    if (it == out.end())
+      out.push_back({ev.name, seconds});
+    else
+      it->seconds += seconds;
+  }
+  return out;
 }
 
 void counter_event(const char* name, double value) {

@@ -27,7 +27,7 @@ bool is_last_stage(const TimingGraph& g, NodeId n) {
 
 FilterResult filter_insensitive_pins(const TimingGraph& g,
                                      const FilterConfig& cfg) {
-  obs::Span span("filter.insensitive_pins");
+  obs::Span span("sensitivity.filter");
   FilterResult out;
   const std::size_t n = g.num_nodes();
   const auto lo = propagate_slew_only(g, cfg.slew_min_ps, cfg.po_load_ff);

@@ -74,7 +74,7 @@ double snapshot_ts(const BoundarySnapshot& after,
 TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
                                      const std::vector<bool>& candidates,
                                      const TsConfig& cfg) {
-  obs::Span span("ts.eval");
+  obs::Span span("sensitivity.ts");
   TsResult out;
   out.ts.assign(ilm.num_nodes(), 0.0);
   Stopwatch sw;
@@ -298,7 +298,6 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
   }
   out.evaluated_pins = work.size();
   out.failed_pins = failed.load(std::memory_order_relaxed);
-  out.eval_seconds = sw.seconds();
   span.set_arg("pins", static_cast<double>(out.evaluated_pins));
   obs::trace_rss_sample();
   return out;

@@ -54,7 +54,6 @@ struct TsResult {
   std::size_t skipped_sets = 0;
   /// First failure diagnostic (empty when failed_pins + skipped_sets == 0).
   std::string first_failure;
-  double eval_seconds = 0.0;
 };
 
 /// Evaluate TS for every node with candidates[n] == true. Pins that are

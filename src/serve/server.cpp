@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
 #include "util/errno_string.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace tmm::serve {
@@ -65,19 +66,6 @@ struct Pending {
   bool shed_overload = false;   ///< rejected at admission
   std::string parse_error;
 };
-
-/// JSON string escaping for server-composed fragments (reload errors).
-std::string json_escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 double us_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) noexcept {
@@ -259,7 +247,7 @@ std::string Server::stats_extra_json() const {
   out += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
   out += ", \"reload_failures\": " + std::to_string(c.reload_failures);
   out += ", \"last_swap_us\": " + std::to_string(c.last_swap_us);
-  out += ", \"last_error\": " + json_escaped(c.last_error);
+  out += ", \"last_error\": " + util::json_quoted(c.last_error);
   out += "},\n  ";
   out += "\"admission\": {\"max_inflight\": " + std::to_string(max_inflight_);
   out += ", \"inflight\": " +
@@ -505,7 +493,7 @@ void Server::handle_connection(int fd, Evaluator::Scratch& scratch) {
             const RegistryManager::Counters c = mgr.counters();
             text += ", \"reloads_ok\": " + std::to_string(c.reloads_ok);
             text += ", \"reload_failures\": " + std::to_string(c.reload_failures);
-            text += ", \"error\": " + json_escaped(r.error);
+            text += ", \"error\": " + util::json_quoted(r.error);
             text += "}\n";
             resp.text = std::move(text);
           } else {  // kFlightDump

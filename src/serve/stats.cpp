@@ -7,6 +7,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace tmm::serve {
@@ -19,15 +20,6 @@ const util::lockorder::LockClass kSlowlogLockClass("serve.stats.slowlog");
 /// JSON keys come out in this order and tests grep for "10s" first.
 constexpr double kWindows[] = {10.0, 300.0};
 constexpr const char* kWindowNames[] = {"10s", "300s"};
-
-void json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 void json_number(std::string& out, double v) {
   std::ostringstream os;
@@ -115,7 +107,7 @@ void ServeStats::append_series_json(std::string& out, const Series& s,
   for (std::size_t w = 0; w < std::size(kWindows); ++w) {
     const double win = kWindows[w];
     if (w != 0) out += ", ";
-    json_string(out, kWindowNames[w]);
+    out += util::json_quoted(kWindowNames[w]);
     out += ": {";
     const obs::WindowedHistogram::Snapshot snap = s.latency.snapshot(now_us, win);
     const std::uint64_t requests = s.requests.sum(now_us, win);
@@ -173,7 +165,7 @@ std::string ServeStats::stats_json(std::uint64_t now_us,
   for (const auto& [name, series] : per_model_) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    json_string(out, name);
+    out += util::json_quoted(name);
     out += ": ";
     append_series_json(out, *series, now_us);
   }
@@ -209,9 +201,9 @@ std::string ServeStats::stats_json(std::uint64_t now_us,
       out += "{\"ts_us\": " + std::to_string(e.ts_us);
       out += ", \"request_id\": " + std::to_string(e.request_id);
       out += ", \"model\": ";
-      json_string(out, e.model);
+      out += util::json_quoted(e.model);
       out += ", \"status\": ";
-      json_string(out, e.status);
+      out += util::json_quoted(e.status);
       out += ", \"total_us\": ";
       json_number(out, e.total_us);
       out += ", \"eval_us\": ";
@@ -231,7 +223,7 @@ std::string ServeStats::health_json(std::uint64_t now_us, bool draining,
                                     std::uint64_t reload_failures) const {
   std::string out;
   out += "{\"status\": ";
-  json_string(out, draining ? "draining" : "ok");
+  out += util::json_quoted(draining ? "draining" : "ok");
   out += ", \"uptime_s\": ";
   json_number(out, now_us >= start_us_
                        ? static_cast<double>(now_us - start_us_) / 1e6

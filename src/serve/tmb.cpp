@@ -30,6 +30,15 @@ constexpr std::uint32_t kNoTables = 0xffffffffu;
 /// Luts per ElRf group (el x rf).
 constexpr std::uint32_t kGroup =
     static_cast<std::uint32_t>(kNumEl) * static_cast<std::uint32_t>(kNumRf);
+/// Record strides, as pack_model writes them.
+constexpr std::uint64_t kNodeBytes = 8 * 4 + 8;
+constexpr std::uint64_t kPoBytes = 4;
+constexpr std::uint64_t kArcBytes = 7 * 4 + 8;
+constexpr std::uint64_t kCheckBytes = 4 * 4;
+constexpr std::uint64_t kLutBytes = 2 * 4 + 8;
+/// Bounded counts: a corrupt header must not turn into a huge
+/// allocation before validation catches it.
+constexpr std::uint64_t kMaxRecords = 100'000'000;
 
 std::uint32_t crc_table_entry(std::uint32_t i) {
   std::uint32_t c = i;
@@ -61,56 +70,49 @@ class ByteWriter {
   std::string buf_;
 };
 
-class ByteReader {
+/// Bounds-checked little-endian reads over an image. A short read()
+/// returns false (walk_tmb); u32()/f64() read sections walk_tmb has
+/// already sized, and fail() throws kParse at the current offset
+/// (unpack_model).
+class Cursor {
  public:
-  ByteReader(const char* data, std::size_t size, const std::string& source)
-      : data_(data), size_(size), source_(source) {}
+  Cursor(std::string_view data, std::size_t pos, std::string_view source = {})
+      : data_(data), pos_(pos), source_(source) {}
 
-  std::uint32_t u32(const char* what) {
-    std::uint32_t v;
-    raw(&v, sizeof v, what);
-    return v;
+  template <typename T>
+  bool read(T& v) {
+    if (sizeof v > remaining()) return false;
+    std::memcpy(&v, data_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return true;
   }
-  std::uint64_t u64(const char* what) {
-    std::uint64_t v;
-    raw(&v, sizeof v, what);
-    return v;
+  bool skip(std::uint64_t n) {
+    if (n > remaining()) return false;
+    pos_ += n;
+    return true;
   }
-  double f64(const char* what) {
-    double v;
-    raw(&v, sizeof v, what);
-    return v;
-  }
-  void bytes(void* out, std::size_t n, const char* what) {
-    raw(out, n, what);
-  }
-  std::size_t remaining() const noexcept { return size_ - pos_; }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  double f64() { return take<double>(); }
+  std::size_t pos() const noexcept { return pos_; }
+  std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw FlowError(ErrorCode::kParse, "serve.tmb",
-                    source_ + ": " + msg + " (offset " +
+                    std::string(source_) + ": " + msg + " (offset " +
                         std::to_string(pos_) + ")");
   }
 
  private:
-  void raw(void* out, std::size_t n, const char* what) {
-    if (n > size_ - pos_)
-      fail(std::string("truncated image reading ") + what);
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
+  template <typename T>
+  T take() {
+    T v{};
+    if (!read(v)) fail("truncated image");
+    return v;
   }
 
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  const std::string& source_;
-};
-
-/// One LUT surface: index sizes plus its offset in the double arena.
-struct LutRec {
-  std::uint32_t ni = 0;
-  std::uint32_t nj = 0;
-  std::uint64_t off = 0;
+  std::string_view data_;
+  std::size_t pos_;
+  std::string_view source_;
 };
 
 std::uint64_t lut_doubles(const Lut& lut) {
@@ -118,9 +120,9 @@ std::uint64_t lut_doubles(const Lut& lut) {
          lut.values().size();
 }
 
-void append_lut(const Lut& lut, std::vector<LutRec>& tabs,
+void append_lut(const Lut& lut, std::vector<TmbLut>& tabs,
                 std::vector<double>& arena) {
-  LutRec rec;
+  TmbLut rec;
   rec.ni = static_cast<std::uint32_t>(lut.slew_index().size());
   rec.nj = static_cast<std::uint32_t>(lut.load_index().size());
   rec.off = arena.size();
@@ -130,7 +132,7 @@ void append_lut(const Lut& lut, std::vector<LutRec>& tabs,
   tabs.push_back(rec);
 }
 
-std::uint32_t append_group(const ElRf<Lut>& group, std::vector<LutRec>& tabs,
+std::uint32_t append_group(const ElRf<Lut>& group, std::vector<TmbLut>& tabs,
                            std::vector<double>& arena) {
   const std::uint32_t first = static_cast<std::uint32_t>(tabs.size());
   for (unsigned el = 0; el < kNumEl; ++el)
@@ -150,6 +152,77 @@ std::uint32_t crc32(const void* data, std::size_t size) noexcept {
   return c ^ 0xffffffffu;
 }
 
+std::uint64_t TmbLut::doubles() const noexcept {
+  const std::uint64_t values =
+      ni == 0 ? 1
+              : static_cast<std::uint64_t>(ni) * std::max<std::uint64_t>(nj, 1);
+  return ni + nj + values;
+}
+
+bool TmbLut::fits(std::uint64_t arena_doubles) const noexcept {
+  return off <= arena_doubles && doubles() <= arena_doubles - off;
+}
+
+std::string walk_tmb(std::string_view image, TmbLayout& out) {
+  out = TmbLayout{};
+  // Header first: without a matching magic/version/CRC the payload
+  // bytes mean nothing and the section walk would chase noise.
+  if (image.size() < kTmbHeaderBytes) return "file shorter than the tmb header";
+  if (std::memcmp(image.data(), kTmbMagic, sizeof kTmbMagic) != 0)
+    return "not a tmb model (bad magic)";
+  Cursor c(image, sizeof kTmbMagic);
+  std::uint32_t version = 0;
+  std::uint64_t payload_size = 0;
+  std::uint32_t want_crc = 0;
+  c.read(version);
+  c.read(payload_size);
+  c.read(want_crc);
+  if (version != kTmbVersion)
+    return "unsupported tmb version " + std::to_string(version);
+  if (payload_size != c.remaining())
+    return "payload size mismatch (truncated file?)";
+  if (crc32(image.data() + c.pos(), c.remaining()) != want_crc)
+    return "payload checksum mismatch (corrupt or torn file)";
+
+  std::uint32_t name_len = 0;
+  if (!c.read(name_len) || name_len > c.remaining())
+    return "truncated design name";
+  out.design_name = image.substr(c.pos(), name_len);
+  c.skip(name_len);
+  std::uint32_t nn = 0, na = 0, nc = 0, npo = 0, strtab_len = 0, ntab = 0;
+  std::uint64_t narena = 0;
+  if (!c.read(nn) || !c.read(na) || !c.read(nc) || !c.read(npo) ||
+      !c.read(strtab_len) || !c.read(ntab) || !c.read(narena))
+    return "truncated section-count header";
+  if (nn > kMaxRecords || na > kMaxRecords || nc > kMaxRecords ||
+      npo > kMaxRecords || ntab > kMaxRecords || narena > kMaxRecords)
+    return "implausible record count in header";
+  out.records = c.pos();
+  if (!c.skip(nn * kNodeBytes) || !c.skip(npo * kPoBytes) ||
+      !c.skip(na * kArcBytes) || !c.skip(nc * kCheckBytes))
+    return "truncated record section";
+  if (ntab * kLutBytes > c.remaining()) return "truncated table section";
+  out.tables.resize(ntab);
+  for (TmbLut& t : out.tables) {
+    c.read(t.ni);
+    c.read(t.nj);
+    c.read(t.off);
+  }
+  if (strtab_len > c.remaining()) return "truncated string table";
+  out.strtab = image.substr(c.pos(), strtab_len);
+  c.skip(strtab_len);
+  if (narena > c.remaining() / sizeof(double)) return "truncated double arena";
+  if (c.remaining() != narena * sizeof(double))
+    return "trailing bytes after the double arena";
+  out.arena = c.pos();
+  out.arena_doubles = narena;
+  out.nodes = nn;
+  out.po_loads = npo;
+  out.arcs = na;
+  out.checks = nc;
+  return {};
+}
+
 std::string pack_model(const MacroModel& model) {
   const TimingGraph& g = model.graph;
 
@@ -166,7 +239,7 @@ std::string pack_model(const MacroModel& model) {
 
   std::string strtab;
   std::vector<std::uint32_t> po_loads;
-  std::vector<LutRec> tabs;
+  std::vector<TmbLut> tabs;
   std::vector<double> arena;
   // Size the arena up front: one pass over live surfaces.
   std::uint64_t arena_doubles = 0;
@@ -264,7 +337,7 @@ std::string pack_model(const MacroModel& model) {
     const std::string checks = checks_w.take();
     payload.bytes(checks.data(), checks.size());
   }
-  for (const LutRec& t : tabs) {
+  for (const TmbLut& t : tabs) {
     payload.u32(t.ni);
     payload.u32(t.nj);
     payload.u64(t.off);
@@ -286,19 +359,12 @@ std::string pack_model(const MacroModel& model) {
 
 namespace {
 
-/// Bounded counts: a corrupt header must not turn into a huge
-/// allocation before validation catches it.
-constexpr std::uint64_t kMaxRecords = 100'000'000;
-
-Lut build_lut(const LutRec& rec, const std::vector<double>& arena,
-              ByteReader& r) {
-  const std::uint64_t nvals =
-      rec.ni == 0 ? 1
-                  : static_cast<std::uint64_t>(rec.ni) *
-                        std::max<std::uint64_t>(rec.nj, 1);
-  const std::uint64_t need = rec.ni + rec.nj + nvals;
-  if (rec.off > arena.size() || need > arena.size() - rec.off)
+Lut build_lut(const TmbLut& rec, const std::vector<double>& arena,
+              Cursor& r) {
+  if (!rec.fits(arena.size()))
     r.fail("lut record points outside the double arena");
+  const std::uint64_t need = rec.doubles();
+  const std::uint64_t nvals = need - rec.ni - rec.nj;
   const double* base = arena.data() + rec.off;
   try {
     if (rec.ni == 0) return Lut::scalar(base[0]);
@@ -314,8 +380,8 @@ Lut build_lut(const LutRec& rec, const std::vector<double>& arena,
   }
 }
 
-ElRf<Lut> build_group(std::uint32_t first, const std::vector<LutRec>& tabs,
-                      const std::vector<double>& arena, ByteReader& r) {
+ElRf<Lut> build_group(std::uint32_t first, const std::vector<TmbLut>& tabs,
+                      const std::vector<double>& arena, Cursor& r) {
   if (first > tabs.size() || kGroup > tabs.size() - first)
     r.fail("table-group reference outside the table section");
   ElRf<Lut> out;
@@ -329,44 +395,13 @@ ElRf<Lut> build_group(std::uint32_t first, const std::vector<LutRec>& tabs,
 }  // namespace
 
 MacroModel unpack_model(const std::string& image, const std::string& source) {
-  ByteReader header(image.data(), image.size(), source);
-  char magic[4];
-  header.bytes(magic, sizeof magic, "magic");
-  if (std::memcmp(magic, kTmbMagic, sizeof magic) != 0)
-    header.fail("not a tmb model (bad magic)");
-  const std::uint32_t version = header.u32("version");
-  if (version != kTmbVersion)
-    header.fail("unsupported tmb version " + std::to_string(version) +
-                " (expected " + std::to_string(kTmbVersion) + ")");
-  const std::uint64_t payload_size = header.u64("payload size");
-  const std::uint32_t want_crc = header.u32("payload crc");
-  if (payload_size != image.size() - kTmbHeaderBytes)
-    header.fail("payload size mismatch (header says " +
-                std::to_string(payload_size) + ", file has " +
-                std::to_string(image.size() - kTmbHeaderBytes) + ")");
-  const char* body = image.data() + kTmbHeaderBytes;
-  const std::uint32_t have_crc = crc32(body, payload_size);
-  if (have_crc != want_crc)
-    header.fail("payload checksum mismatch (corrupt or torn file)");
-
-  ByteReader r(body, payload_size, source);
+  TmbLayout layout;
+  if (const std::string problem = walk_tmb(image, layout); !problem.empty())
+    throw FlowError(ErrorCode::kParse, "serve.tmb", source + ": " + problem);
+  const std::uint64_t nn = layout.nodes;
+  Cursor r(image, layout.records, source);
   MacroModel model;
-  const std::uint32_t name_len = r.u32("design-name length");
-  if (name_len > r.remaining()) r.fail("truncated design name");
-  model.design_name.resize(name_len);
-  if (name_len > 0) r.bytes(model.design_name.data(), name_len, "design name");
-
-  const std::uint64_t nn = r.u32("node count");
-  const std::uint64_t na = r.u32("arc count");
-  const std::uint64_t nc = r.u32("check count");
-  const std::uint64_t npo = r.u32("attached-PO count");
-  const std::uint64_t strtab_len = r.u32("string-table length");
-  const std::uint64_t ntab = r.u32("table count");
-  const std::uint64_t narena = r.u64("arena length");
-  if (nn > kMaxRecords || na > kMaxRecords || nc > kMaxRecords ||
-      npo > kMaxRecords || ntab > kMaxRecords || narena > kMaxRecords)
-    r.fail("implausible record count in header");
-
+  model.design_name = layout.design_name;
   TimingGraph& g = model.graph;
 
   struct NodeRec {
@@ -376,37 +411,37 @@ MacroModel unpack_model(const std::string& image, const std::string& source) {
   };
   std::vector<NodeRec> node_recs(nn);
   for (auto& rec : node_recs) {
-    rec.name_off = r.u32("node name offset");
-    rec.name_len = r.u32("node name length");
-    rec.role = r.u32("node role");
-    rec.flags = r.u32("node flags");
-    rec.ordinal = r.u32("port ordinal");
-    rec.depth = r.u32("aocv depth");
-    rec.po_off = r.u32("attached-PO offset");
-    rec.po_cnt = r.u32("attached-PO count");
-    rec.static_load = r.f64("static load");
+    rec.name_off = r.u32();
+    rec.name_len = r.u32();
+    rec.role = r.u32();
+    rec.flags = r.u32();
+    rec.ordinal = r.u32();
+    rec.depth = r.u32();
+    rec.po_off = r.u32();
+    rec.po_cnt = r.u32();
+    rec.static_load = r.f64();
     if (rec.role > static_cast<std::uint32_t>(NodeRole::kPrimaryOutput))
       r.fail("bad node role " + std::to_string(rec.role));
     if (rec.flags > 15u) r.fail("bad node flags");
   }
 
-  std::vector<std::uint32_t> po_loads(npo);
-  for (auto& po : po_loads) po = r.u32("attached PO ordinal");
+  std::vector<std::uint32_t> po_loads(layout.po_loads);
+  for (auto& po : po_loads) po = r.u32();
 
   struct ArcRec {
     std::uint32_t from, to, kind, sense, flags, delay_tab, slew_tab;
     double wire_delay;
   };
-  std::vector<ArcRec> arc_recs(na);
+  std::vector<ArcRec> arc_recs(layout.arcs);
   for (auto& rec : arc_recs) {
-    rec.from = r.u32("arc source");
-    rec.to = r.u32("arc sink");
-    rec.kind = r.u32("arc kind");
-    rec.sense = r.u32("arc sense");
-    rec.flags = r.u32("arc flags");
-    rec.delay_tab = r.u32("delay table ref");
-    rec.slew_tab = r.u32("slew table ref");
-    rec.wire_delay = r.f64("wire delay");
+    rec.from = r.u32();
+    rec.to = r.u32();
+    rec.kind = r.u32();
+    rec.sense = r.u32();
+    rec.flags = r.u32();
+    rec.delay_tab = r.u32();
+    rec.slew_tab = r.u32();
+    rec.wire_delay = r.f64();
     if (rec.from >= nn || rec.to >= nn)
       r.fail("dangling arc node reference");
     if (rec.kind > static_cast<std::uint32_t>(GraphArcKind::kWire))
@@ -418,30 +453,23 @@ MacroModel unpack_model(const std::string& image, const std::string& source) {
   struct CheckRec {
     std::uint32_t clock, data, is_setup, guard_tab;
   };
-  std::vector<CheckRec> check_recs(nc);
+  std::vector<CheckRec> check_recs(layout.checks);
   for (auto& rec : check_recs) {
-    rec.clock = r.u32("check clock");
-    rec.data = r.u32("check data");
-    rec.is_setup = r.u32("setup flag");
-    rec.guard_tab = r.u32("guard table ref");
+    rec.clock = r.u32();
+    rec.data = r.u32();
+    rec.is_setup = r.u32();
+    rec.guard_tab = r.u32();
     if (rec.clock >= nn || rec.data >= nn)
       r.fail("dangling check node reference");
     if (rec.is_setup > 1u) r.fail("bad setup flag");
   }
 
-  std::vector<LutRec> tabs(ntab);
-  for (auto& t : tabs) {
-    t.ni = r.u32("lut slew-axis size");
-    t.nj = r.u32("lut load-axis size");
-    t.off = r.u64("lut arena offset");
-  }
-
-  std::string strtab(strtab_len, '\0');
-  if (strtab_len > 0) r.bytes(strtab.data(), strtab_len, "string table");
-  std::vector<double> arena(narena);
-  if (narena > 0)
-    r.bytes(arena.data(), narena * sizeof(double), "double arena");
-  if (r.remaining() != 0) r.fail("trailing bytes after the double arena");
+  const std::vector<TmbLut>& tabs = layout.tables;
+  const std::string_view strtab = layout.strtab;
+  std::vector<double> arena(layout.arena_doubles);
+  if (!arena.empty())
+    std::memcpy(arena.data(), image.data() + layout.arena,
+                arena.size() * sizeof(double));
 
   for (const NodeRec& rec : node_recs) {
     if (rec.name_off > strtab.size() ||

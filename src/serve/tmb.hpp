@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "macro/macro_model.hpp"
 
@@ -36,6 +38,41 @@ inline constexpr std::size_t kTmbHeaderBytes = 20;
 /// CRC-32 (IEEE 802.3, reflected) of `data`; the checksum stamped into
 /// every `.tmb` header and validated on load.
 std::uint32_t crc32(const void* data, std::size_t size) noexcept;
+
+/// One record of the LUT table section: index sizes and where the
+/// surface starts in the double arena.
+struct TmbLut {
+  std::uint32_t ni = 0;  ///< slew-axis size (0 = scalar)
+  std::uint32_t nj = 0;  ///< load-axis size (0 = 1-D)
+  std::uint64_t off = 0;
+  /// Doubles the surface spans from `off`: both indices and the values.
+  std::uint64_t doubles() const noexcept;
+  /// True when the surface lies inside an arena of `arena_doubles`.
+  bool fits(std::uint64_t arena_doubles) const noexcept;
+};
+
+/// Where the sections of a `.tmb` image sit, as found by walk_tmb.
+/// Offsets are byte offsets into the image.
+struct TmbLayout {
+  std::string_view design_name;
+  std::uint64_t nodes = 0;
+  std::uint64_t po_loads = 0;
+  std::uint64_t arcs = 0;
+  std::uint64_t checks = 0;
+  /// The node records; the attached-PO, arc and check records follow.
+  std::size_t records = 0;
+  std::vector<TmbLut> tables;
+  std::string_view strtab;
+  std::size_t arena = 0;
+  std::uint64_t arena_doubles = 0;
+};
+
+/// Walk the header (magic, version, payload size, CRC) and the sections
+/// of `image`, decoding only the LUT table section: node, arc and check
+/// records are located but not read, and the arena is neither read nor
+/// checked against the table records. Fills `out` and returns "", or
+/// returns the first structural problem found.
+std::string walk_tmb(std::string_view image, TmbLayout& out);
 
 /// Serialize `model` into the binary image (header + payload). Dead
 /// nodes/arcs/checks are compacted out exactly as the text writer does,

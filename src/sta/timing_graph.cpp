@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace.hpp"
+
 namespace tmm {
 
 NodeId TimingGraph::add_node(GraphNode node) {
@@ -323,6 +325,7 @@ std::vector<NodeId> find_cycle(const TimingGraph& g) {
 }
 
 TimingGraph build_timing_graph(const Design& design) {
+  obs::Span span("sta.graph_build");
   TimingGraph g;
   const Library& lib = design.library();
 

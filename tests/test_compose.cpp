@@ -30,90 +30,6 @@ TEST(EvalArc, WireArcSemantics) {
   EXPECT_DOUBLE_EQ(e.out_slew, wire_slew(10.0, 3.0));
 }
 
-/// Two buffer arcs composed serially must reproduce the exact chained
-/// function at the selected index points and be close in between.
-TEST(ComposeSerial, MatchesExactChain) {
-  const Library& lib = test::shared_library();
-  const Cell& buf = lib.cell(lib.cell_id("BUF_X1"));
-  const ArcSpec& spec = buf.arcs[0];
-
-  TimingGraph g;
-  GraphArc a;
-  a.kind = GraphArcKind::kCell;
-  a.sense = spec.sense;
-  a.delay = &spec.delay;
-  a.out_slew = &spec.out_slew;
-  GraphArc b = a;
-  const double mid_load = 3.0;
-
-  const ComposedTables ct = compose_serial(g, a, b, mid_load, {});
-  EXPECT_EQ(ct.sense, ArcSense::kPositiveUnate);
-  EXPECT_TRUE(ct.load_dependent);
-
-  Rng rng(4);
-  double worst = 0.0;
-  for (int i = 0; i < 300; ++i) {
-    const double s = rng.uniform(1.0, 110.0);
-    const double c = rng.uniform(0.5, 30.0);
-    for (unsigned el = 0; el < kNumEl; ++el) {
-      for (unsigned rf = 0; rf < kNumRf; ++rf) {
-        const ArcEval ea = eval_arc(a, el, rf, s, mid_load);
-        const ArcEval eb = eval_arc(b, el, rf, ea.out_slew, c);
-        const double exact = ea.delay + eb.delay;
-        const double approx = ct.delay(el, rf).lookup(s, c);
-        worst = std::max(worst, std::fabs(exact - approx));
-      }
-    }
-  }
-  // Re-sampled surface must stay tight (interpolation error only).
-  EXPECT_LT(worst, 0.75);
-}
-
-TEST(ComposeSerial, WireThenCellStaysLoadDependent) {
-  const Library& lib = test::shared_library();
-  const ArcSpec& spec = lib.cell(lib.cell_id("INV_X1")).arcs[0];
-  TimingGraph g;
-  GraphArc w;
-  w.kind = GraphArcKind::kWire;
-  w.wire_delay_ps = 2.0;
-  GraphArc c;
-  c.kind = GraphArcKind::kCell;
-  c.sense = spec.sense;
-  c.delay = &spec.delay;
-  c.out_slew = &spec.out_slew;
-  const ComposedTables ct = compose_serial(g, w, c, 0.0, {});
-  EXPECT_TRUE(ct.load_dependent);
-  EXPECT_EQ(ct.sense, ArcSense::kNegativeUnate);
-  // delay(s, load) == wire + inv_delay(wire_slew(s), load).
-  const double s = 12.0;
-  const double load = 6.0;
-  const double exact =
-      2.0 + spec.delay(kLate, kRise).lookup(wire_slew(s, 2.0), load);
-  EXPECT_NEAR(ct.delay(kLate, kRise).lookup(s, load), exact, 0.35);
-}
-
-TEST(ComposeSerial, CellThenWireBecomesOneDimensional) {
-  const Library& lib = test::shared_library();
-  const ArcSpec& spec = lib.cell(lib.cell_id("BUF_X1")).arcs[0];
-  TimingGraph g;
-  GraphArc c;
-  c.kind = GraphArcKind::kCell;
-  c.sense = spec.sense;
-  c.delay = &spec.delay;
-  c.out_slew = &spec.out_slew;
-  GraphArc w;
-  w.kind = GraphArcKind::kWire;
-  w.wire_delay_ps = 1.5;
-  const double mid_load = 4.0;  // folded statically
-  const ComposedTables ct = compose_serial(g, c, w, mid_load, {});
-  EXPECT_FALSE(ct.load_dependent);
-  EXPECT_TRUE(ct.delay(kLate, kRise).is_1d());
-  const double s = 9.0;
-  const double exact = spec.delay(kLate, kRise).lookup(s, mid_load) + 1.5;
-  EXPECT_NEAR(ct.delay(kLate, kRise).lookup(s, /*ignored*/ 123.0), exact,
-              0.35);
-}
-
 TEST(ComposeParallel, TakesWorstCaseEnvelope) {
   const Library& lib = test::shared_library();
   const ArcSpec& fast = lib.cell(lib.cell_id("BUF_X4")).arcs[0];

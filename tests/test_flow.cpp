@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "flow/framework.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 
 namespace tmm {
@@ -131,6 +132,51 @@ TEST_F(FlowTest, ModelSurvivesSaveLoadViaFramework) {
   const auto a = fw.predict_keep(ilm.graph);
   const auto b = fresh.predict_keep(ilm.graph);
   EXPECT_EQ(a, b);
+}
+
+std::vector<std::string> stage_names(const std::vector<obs::SpanTotal>& st) {
+  std::vector<std::string> names;
+  for (const obs::SpanTotal& t : st) names.push_back(t.name);
+  return names;
+}
+
+/// Stage timings are the spans directly under the run's root span, one
+/// name per stage; an untraced run has none and the same results.
+TEST_F(FlowTest, RunDesignStageTimingsAreTheRootSpansChildren) {
+  Framework& fw = trained();
+  const Design d = test::make_tiny_design("stages", 77);
+  obs::reset_trace();
+  obs::set_tracing_enabled(true);
+  const DesignResult traced = fw.run_design(d);
+  obs::set_tracing_enabled(false);
+  obs::reset_trace();
+  EXPECT_EQ(stage_names(traced.stage_timings),
+            (std::vector<std::string>{"sta.graph_build", "macro.ilm",
+                                      "gnn.infer", "macro.merge",
+                                      "macro.size", "macro.evaluate"}));
+
+  const DesignResult untraced = fw.run_design(d);
+  EXPECT_TRUE(untraced.stage_timings.empty());
+  EXPECT_EQ(untraced.acc.max_err_ps, traced.acc.max_err_ps);
+  EXPECT_EQ(untraced.model_file_bytes, traced.model_file_bytes);
+}
+
+TEST_F(FlowTest, TrainStageTimingsArePerDesignThenTraining) {
+  FlowConfig cfg;
+  cfg.data.ts.num_constraint_sets = 1;
+  cfg.train.epochs = 5;
+  std::vector<Design> designs;
+  designs.push_back(test::make_tiny_design("ta", 51));
+  designs.push_back(test::make_tiny_design("tb", 52));
+  obs::reset_trace();
+  obs::set_tracing_enabled(true);
+  const TrainingSummary traced = Framework(cfg).train(designs);
+  obs::set_tracing_enabled(false);
+  obs::reset_trace();
+  EXPECT_EQ(stage_names(traced.stage_timings),
+            (std::vector<std::string>{"flow.train.design:ta",
+                                      "flow.train.design:tb", "gnn.train"}));
+  EXPECT_TRUE(Framework(cfg).train(designs).stage_timings.empty());
 }
 
 TEST_F(FlowTest, CpprOffModeWorks) {

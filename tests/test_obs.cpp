@@ -294,6 +294,47 @@ TEST_F(ObsTraceTest, ResetDropsBufferedEvents) {
   EXPECT_EQ(obs::trace_event_count(), 0u);
 }
 
+std::vector<std::string> names_of(const std::vector<obs::SpanTotal>& totals) {
+  std::vector<std::string> names;
+  for (const obs::SpanTotal& t : totals) {
+    EXPECT_GE(t.seconds, 0.0) << t.name;
+    names.push_back(t.name);
+  }
+  return names;
+}
+
+// The spans here all start within a few microseconds of each other, so
+// only the recorded depth tells a parent from its children.
+TEST_F(ObsTraceTest, ClosedChildrenAreTheDirectChildrenSummedByName) {
+  obs::set_tracing_enabled(true);
+  {
+    obs::Span earlier("test.root");
+    obs::Span earlier_child("test.earlier");
+  }
+  obs::Span root("test.root");
+  {
+    obs::Span a("test.a");
+    obs::Span deep("test.deep");
+    EXPECT_EQ(names_of(a.closed_children()), std::vector<std::string>{});
+  }
+  { obs::Span b("test.b"); }
+  obs::trace_counter("test.level", 1.0);
+  { obs::Span a("test.a"); }
+  const std::vector<obs::SpanTotal> kids = root.closed_children();
+  EXPECT_EQ(names_of(kids), (std::vector<std::string>{"test.a", "test.b"}));
+
+  obs::set_tracing_enabled(false);
+  EXPECT_TRUE(root.closed_children().empty());
+}
+
+TEST_F(ObsTraceTest, ClosedChildrenOfAnUntracedSpanAreEmpty) {
+  obs::Span root("test.root");
+  obs::set_tracing_enabled(true);
+  { obs::Span child("test.child"); }
+  EXPECT_TRUE(root.closed_children().empty());
+  EXPECT_EQ(obs::trace_event_count(), 1u);
+}
+
 TEST(ObsMetricsTest, CounterGaugeBasics) {
   obs::Counter& c = obs::counter("test.basic_counter");
   const std::uint64_t before = c.value();

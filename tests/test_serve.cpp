@@ -806,6 +806,36 @@ TEST(Server, ReloadOverWireSwapsGenerationLive) {
   live.stop();
 }
 
+// The serve-lint validator returns LintReport::to_string(), one line
+// per finding; the admin replies that carry it must stay valid JSON.
+TEST(Server, MultiLineReloadErrorStaysValidJson) {
+  ReloadFixture fx;
+  serve::RegistryManager mgr(fx.dir.str(), [](const std::string&) {
+    return std::string("S001 first\nS002 second\n");
+  });
+  mgr.load_initial();
+  serve::Evaluator eval(mgr, {});
+  LiveServer live(eval, {.tcp_port = 0, .num_threads = 1});
+  const int fd = live.connect();
+  fx.install(37);
+
+  serve::Request reload;
+  reload.kind = serve::RequestKind::kReload;
+  const serve::Response rr = serve::call(fd, reload);
+  EXPECT_NE(rr.text.find("\"ok\": false"), std::string::npos) << rr.text;
+  EXPECT_NE(rr.text.find(R"(S001 first\nS002 second\n"})"), std::string::npos)
+      << rr.text;
+  EXPECT_EQ(rr.text.find('\n'), rr.text.size() - 1) << rr.text;
+
+  serve::Request stats;
+  stats.kind = serve::RequestKind::kStats;
+  const serve::Response sr = serve::call(fd, stats);
+  EXPECT_NE(sr.text.find(R"(S001 first\nS002 second\n"})"), std::string::npos)
+      << sr.text;
+  ::close(fd);
+  live.stop();
+}
+
 // A fixed registry is a one-generation manager: a reload has no
 // directory to load from, answers ok:false with the load diagnostic,
 // and the same generation keeps serving bit-identically.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/instrument.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -85,6 +86,18 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng f = r.fork(1);
   Rng g = r.fork(2);
   EXPECT_NE(f(), g());
+}
+
+TEST(JsonQuoted, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(util::json_quoted(""), "\"\"");
+  EXPECT_EQ(util::json_quoted("sta.run"), "\"sta.run\"");
+  EXPECT_EQ(util::json_quoted("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(util::json_quoted("S001 x\nS002 y\n"), "\"S001 x\\nS002 y\\n\"");
+  EXPECT_EQ(util::json_quoted("a\tb"), "\"a\\tb\"");
+  EXPECT_EQ(util::json_quoted(std::string("\x01\x1f\r\0", 4)),
+            "\"\\u0001\\u001f\\u000d\\u0000\"");
+  // Bytes from 0x20 up, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(util::json_quoted("\x7f\xc3\xa9"), "\"\x7f\xc3\xa9\"");
 }
 
 TEST(RunningStats, BasicMoments) {
