@@ -12,8 +12,10 @@
 
 #include "flow/framework.hpp"
 #include "liberty/liberty_writer.hpp"
+#include "macro/baselines.hpp"
 #include "macro/model_io.hpp"
 #include "netlist/netlist_io.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace tmm {
@@ -44,6 +46,42 @@ TEST(TextGolden, Macro) {
   EXPECT_EQ(r.model_file_bytes, bytes);
   EXPECT_EQ(macro_model_size_bytes(r.model), bytes);
   expect_golden(os.str(), bytes, 1620251471737051700ull, 322875);
+}
+
+// AOCV on: derates are baked into every merged arc, through both the
+// serial-chain and the parallel-envelope re-characterization.
+TEST(TextGolden, MacroAocv) {
+  FlowConfig cfg;
+  cfg.aocv.enabled = true;
+  cfg.aocv.late_derate = 1.10;
+  cfg.aocv.early_derate = 0.90;
+  cfg.aocv.depth_constant = 5.0;
+  Framework fw{cfg};
+  fw.set_model(golden_gnn());
+  const obs::Counter& serial = obs::counter("merge.serial_arcs_created");
+  const obs::Counter& parallel = obs::counter("merge.parallel_arcs_merged");
+  const std::uint64_t serial0 = serial.value();
+  const std::uint64_t parallel0 = parallel.value();
+  const DesignResult r = fw.run_design(golden_design());
+  EXPECT_GT(serial.value(), serial0);
+  EXPECT_GT(parallel.value(), parallel0);
+  std::ostringstream os;
+  const std::size_t bytes = write_macro_model(r.model, os);
+  expect_golden(os.str(), bytes, 3247056393307320782ull, 322890);
+}
+
+// iTimerM merges with error-driven index selection, LibAbs with fixed
+// evenly spaced grids (error_driven = false).
+TEST(TextGolden, Baselines) {
+  const TimingGraph flat = build_timing_graph(golden_design());
+  std::ostringstream itm;
+  const std::size_t itm_bytes =
+      write_macro_model(generate_itimerm_model(flat), itm);
+  expect_golden(itm.str(), itm_bytes, 825901793490684898ull, 448378);
+  std::ostringstream abs;
+  const std::size_t abs_bytes =
+      write_macro_model(generate_libabs_model(flat), abs);
+  expect_golden(abs.str(), abs_bytes, 18113712419401601499ull, 516536);
 }
 
 TEST(TextGolden, Design) {
