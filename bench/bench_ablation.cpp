@@ -46,7 +46,8 @@ Outcome run_variant(const Design& d, const TimingGraph& flat,
   for (int i = 0; i < 3; ++i)
     sets.push_back(random_constraints(d.primary_inputs().size(),
                                       d.primary_outputs().size(), {}, rng));
-  const AccuracyReport rep = evaluate_accuracy(flat, ilm.graph, sets, true);
+  const AccuracyReport rep =
+      evaluate_accuracy(flat, ilm.graph, sets, {.cppr = true});
   MacroModel model;
   model.design_name = d.name();
   model.graph = std::move(ilm.graph);

@@ -1,5 +1,5 @@
 #pragma once
-// Cell library container with name lookup and text (de)serialization.
+// Cell library container with name lookup and text serialization.
 // The same text format is reused for macro-model storage, which is what
 // the "model file size" columns of Tables 3-5 measure.
 
@@ -32,11 +32,6 @@ class Library {
 
   /// Serialize to a compact text format; returns bytes written.
   std::size_t write(std::ostream& os) const;
-  /// Parse a library previously produced by write(). Throws on error.
-  static Library read(std::istream& is);
-
-  /// Size in bytes of the serialized form (without materializing a file).
-  std::size_t serialized_size() const;
 
  private:
   std::string name_ = "lib";

@@ -17,15 +17,6 @@ obs::Counter& g_evals = obs::counter("evaluate.runs");
 AccuracyReport evaluate_accuracy(const TimingGraph& reference,
                                  const TimingGraph& model,
                                  std::span<const BoundaryConstraints> sets,
-                                 bool cppr) {
-  Sta::Options options;
-  options.cppr = cppr;
-  return evaluate_accuracy(reference, model, sets, options);
-}
-
-AccuracyReport evaluate_accuracy(const TimingGraph& reference,
-                                 const TimingGraph& model,
-                                 std::span<const BoundaryConstraints> sets,
                                  const Sta::Options& options) {
   obs::Span span("macro.evaluate");
   AccuracyReport report;

@@ -19,14 +19,8 @@ struct AccuracyReport {
 };
 
 /// Analyze both graphs under every constraint set and report the max and
-/// mean absolute boundary differences in ps. `cppr` selects the timing
-/// mode (Tables 3 vs 5).
-AccuracyReport evaluate_accuracy(const TimingGraph& reference,
-                                 const TimingGraph& model,
-                                 std::span<const BoundaryConstraints> sets,
-                                 bool cppr);
-
-/// Full-options variant (CPPR and/or AOCV modes).
+/// mean absolute boundary differences in ps. `options` selects the
+/// timing mode: CPPR on or off (Tables 3 vs 5), AOCV.
 AccuracyReport evaluate_accuracy(const TimingGraph& reference,
                                  const TimingGraph& model,
                                  std::span<const BoundaryConstraints> sets,

@@ -70,256 +70,51 @@ struct LocalAdjacency {
   }
 };
 
-/// One primitive segment of a merged chain. `load_ff` is the statically
-/// folded load the segment's lookup uses; the *last* load-dependent
-/// segment of a chain uses the caller-provided load instead. `depth` is
-/// the from-pin's AOCV stage depth (for baking depth derates).
-struct ChainSeg {
-  GraphArc arc;    // value copy of the primitive arc (tables by pointer)
-  double load_ff;  // static load at arc.to, captured at merge time
-  std::uint32_t depth = 0;
-};
+/// Chains backing the arcs a merge created, keyed by arc id; primitive
+/// arcs have no entry.
+using ChainMap = std::unordered_map<ArcId, Chain>;
 
-using Chain = std::vector<ChainSeg>;
+/// Parallel key -> the arc that represents it.
+using KeyIndex = std::unordered_map<std::uint64_t, ArcId>;
 
-/// Sentinel for transitions a unate chain cannot produce.
-constexpr double kInfChain = 1e290;
-
-bool arc_load_dependent(const GraphArc& arc) {
-  return arc.kind == GraphArcKind::kCell && arc.delay != nullptr &&
-         (*arc.delay)(kLate, kRise).is_2d();
+/// The chain behind arc `a`: its recorded chain, or the primitive arc as
+/// a one-segment chain.
+Chain chain_of(const TimingGraph& g, const ChainMap& chains, ArcId a) {
+  auto it = chains.find(a);
+  if (it != chains.end()) return it->second;
+  const GraphArc& arc = g.arc(a);
+  return Chain{{arc, g.node(arc.to).static_load_ff,
+                g.node(arc.from).aocv_depth}};
 }
 
-/// Evaluate a whole chain exactly the way the analysis engine evaluates
-/// the unmerged pins, with the *input transition pinned to start_rf*:
-/// per-transition (delay, slew) tracks propagate through each segment's
-/// unateness, worst-casing only where a genuinely non-unate segment
-/// merges transitions — which is precisely the engine's recursion on a
-/// linear chain. Returns delay/slew at `out_rf` for input slew `s` and
-/// final load `load`; unreached transitions return +/-inf.
-ArcEval eval_chain(const Chain& chain, unsigned el, unsigned out_rf,
-                   unsigned start_rf, double s, double load,
-                   const AocvConfig& aocv = {}) {
-  const bool late = el == kLate;
-  const double worst_init = late ? -1e300 : 1e300;
-  double delay[kNumRf] = {worst_init, worst_init};
-  double slew[kNumRf] = {worst_init, worst_init};
-  bool active[kNumRf] = {false, false};
-  delay[start_rf] = 0.0;
-  slew[start_rf] = s;
-  active[start_rf] = true;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const ChainSeg& seg = chain[i];
-    const bool last = i + 1 == chain.size();
-    const double seg_load =
-        last && arc_load_dependent(seg.arc) ? load : seg.load_ff;
-    const double derate = seg.arc.kind == GraphArcKind::kCell &&
-                                  !seg.arc.baked_derate
-                              ? aocv.derate(el, seg.depth)
-                              : 1.0;
-    double nd[kNumRf] = {worst_init, worst_init};
-    double nsw[kNumRf] = {worst_init, worst_init};
-    bool nactive[kNumRf] = {false, false};
-    for (unsigned irf = 0; irf < kNumRf; ++irf) {
-      if (!active[irf]) continue;
-      const unsigned mask = output_transitions(seg.arc.sense, irf);
-      for (unsigned orf = 0; orf < kNumRf; ++orf) {
-        if (!(mask & (1u << orf))) continue;
-        const ArcEval e = eval_arc(seg.arc, el, orf, slew[irf], seg_load);
-        const double cand_d = delay[irf] + e.delay * derate;
-        if (late ? cand_d > nd[orf] : cand_d < nd[orf]) nd[orf] = cand_d;
-        if (late ? e.out_slew > nsw[orf] : e.out_slew < nsw[orf])
-          nsw[orf] = e.out_slew;
-        nactive[orf] = true;
-      }
-    }
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      delay[rf] = nd[rf];
-      slew[rf] = nsw[rf];
-      active[rf] = nactive[rf];
-    }
-  }
-  if (!active[out_rf]) {
-    const double inf = late ? -kInfChain : kInfChain;
-    return {inf, inf};
-  }
-  return {delay[out_rf], slew[out_rf]};
+/// The chain that replaces fanin arc `ia` followed by fanout arc `oa`.
+Chain spliced_chain(const TimingGraph& g, const ChainMap& chains, ArcId ia,
+                    ArcId oa) {
+  Chain merged = chain_of(g, chains, ia);
+  const Chain tail = chain_of(g, chains, oa);
+  merged.insert(merged.end(), tail.begin(), tail.end());
+  return merged;
 }
 
-ArcSense chain_sense(const Chain& chain) {
-  ArcSense s = ArcSense::kPositiveUnate;
-  for (const auto& seg : chain) s = compose_sense(s, seg.arc.sense);
-  return s;
+// Graph mutators with the `delta` switch: through the cache-preserving
+// delta_* API (MergeDelta) or the plain one (full merge); the resulting
+// graph is identical either way.
+
+ArcId add_arc(TimingGraph& g, NodeId from, NodeId to, ArcSense sense,
+              const ElRf<Lut>* delay, const ElRf<Lut>* out_slew, bool delta) {
+  return delta ? g.delta_add_cell_arc(from, to, sense, delay, out_slew, false)
+               : g.add_cell_arc(from, to, sense, delay, out_slew, false);
 }
 
-/// Slew candidate axis for a chain: the first cell segment's grid.
-std::vector<double> chain_slew_axis(const Chain& chain) {
-  for (const auto& seg : chain) {
-    if (seg.arc.kind == GraphArcKind::kCell && seg.arc.delay != nullptr) {
-      auto idx = (*seg.arc.delay)(kLate, kRise).slew_index();
-      if (!idx.empty()) return {idx.begin(), idx.end()};
-    }
-  }
-  return default_slew_axis();
+void kill_arc(TimingGraph& g, ArcId a, bool delta) {
+  if (delta)
+    g.delta_kill_arc(a);
+  else
+    g.kill_arc(a);
 }
 
-/// Build tables for one sense variant of a chain. The start transition
-/// of each (el, orf) surface is pinned by the variant: positive-unate
-/// reads input transition == orf, negative-unate the opposite — so at
-/// analysis time the engine applies exactly the per-transition delays
-/// the unmerged chain would have produced.
-void build_chain_tables(const Chain& chain, ArcSense variant,
-                        const IndexSelectionConfig& cfg,
-                        const AocvConfig& aocv, ElRf<Lut>& delay,
-                        ElRf<Lut>& out_slew) {
-  const bool twod = arc_load_dependent(chain.back().arc);
-  const std::vector<double> s_cands = densify_axis(chain_slew_axis(chain));
-  std::vector<double> l_cands;
-  if (twod) {
-    auto idx = (*chain.back().arc.delay)(kLate, kRise).load_index();
-    l_cands = densify_axis(std::vector<double>(idx.begin(), idx.end()));
-  }
-  const std::size_t ns = s_cands.size();
-  const std::size_t nl = std::max<std::size_t>(1, l_cands.size());
-
-  ElRf<std::vector<double>> dsamp;
-  ElRf<std::vector<double>> ssamp;
-  for (unsigned el = 0; el < kNumEl; ++el) {
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      const unsigned start_rf =
-          variant == ArcSense::kPositiveUnate ? rf : 1u - rf;
-      dsamp(el, rf).resize(ns * nl);
-      ssamp(el, rf).resize(ns * nl);
-      for (std::size_t i = 0; i < ns; ++i) {
-        for (std::size_t j = 0; j < nl; ++j) {
-          const double load = l_cands.empty() ? 0.0 : l_cands[j];
-          const ArcEval e =
-              eval_chain(chain, el, rf, start_rf, s_cands[i], load, aocv);
-          dsamp(el, rf)[i * nl + j] = e.delay;
-          ssamp(el, rf)[i * nl + j] = e.out_slew;
-        }
-      }
-    }
-  }
-
-  // Joint index selection across corners, surfaces and load columns.
-  std::vector<std::vector<double>> s_funcs;
-  for (unsigned el = 0; el < kNumEl; ++el)
-    for (unsigned rf = 0; rf < kNumRf; ++rf)
-      for (std::size_t j = 0; j < nl; ++j) {
-        std::vector<double> fd(ns);
-        std::vector<double> fs(ns);
-        for (std::size_t i = 0; i < ns; ++i) {
-          fd[i] = dsamp(el, rf)[i * nl + j];
-          fs[i] = ssamp(el, rf)[i * nl + j];
-        }
-        s_funcs.push_back(std::move(fd));
-        s_funcs.push_back(std::move(fs));
-      }
-  const auto sel_s = select_indices(s_cands, s_funcs, cfg);
-
-  std::vector<std::size_t> sel_l;
-  if (twod) {
-    std::vector<std::vector<double>> l_funcs;
-    for (unsigned el = 0; el < kNumEl; ++el)
-      for (unsigned rf = 0; rf < kNumRf; ++rf)
-        for (std::size_t i : sel_s) {
-          std::vector<double> fd(nl);
-          std::vector<double> fs(nl);
-          for (std::size_t j = 0; j < nl; ++j) {
-            fd[j] = dsamp(el, rf)[i * nl + j];
-            fs[j] = ssamp(el, rf)[i * nl + j];
-          }
-          l_funcs.push_back(std::move(fd));
-          l_funcs.push_back(std::move(fs));
-        }
-    sel_l = select_indices(l_cands, l_funcs, cfg);
-  }
-
-  std::vector<double> s_idx;
-  for (std::size_t i : sel_s) s_idx.push_back(s_cands[i]);
-  std::vector<double> l_idx;
-  for (std::size_t j : sel_l) l_idx.push_back(l_cands[j]);
-
-  for (unsigned el = 0; el < kNumEl; ++el) {
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      std::vector<double> dv;
-      std::vector<double> sv;
-      for (std::size_t i : sel_s) {
-        if (twod) {
-          for (std::size_t j : sel_l) {
-            dv.push_back(dsamp(el, rf)[i * nl + j]);
-            sv.push_back(ssamp(el, rf)[i * nl + j]);
-          }
-        } else {
-          dv.push_back(dsamp(el, rf)[i * nl]);
-          sv.push_back(ssamp(el, rf)[i * nl]);
-        }
-      }
-      if (twod && s_idx.size() >= 2 && l_idx.size() >= 2) {
-        delay(el, rf) = Lut::table2d(s_idx, l_idx, std::move(dv));
-        out_slew(el, rf) = Lut::table2d(s_idx, l_idx, std::move(sv));
-      } else if (s_idx.size() >= 2) {
-        delay(el, rf) = Lut::table1d(s_idx, std::move(dv));
-        out_slew(el, rf) = Lut::table1d(s_idx, std::move(sv));
-      } else {
-        delay(el, rf) = Lut::scalar(dv.empty() ? 0.0 : dv[0]);
-        out_slew(el, rf) = Lut::scalar(sv.empty() ? 0.0 : sv[0]);
-      }
-    }
-  }
-}
-
-/// Materialize a chain onto graph arc `id`. Unate chains need one arc;
-/// non-unate chains split into a positive- and a negative-unate variant
-/// so each input transition keeps its own delay surface. With `delta`,
-/// the variant arc is appended through the cache-preserving delta API
-/// (MergeDelta); the resulting graph is identical either way.
-void materialize_chain(TimingGraph& g, ArcId id, const Chain& chain,
-                       const IndexSelectionConfig& cfg,
-                       const AocvConfig& aocv, bool delta = false) {
-  const ArcSense sense = chain_sense(chain);
-  const ArcSense first =
-      sense == ArcSense::kNegativeUnate ? ArcSense::kNegativeUnate
-                                        : ArcSense::kPositiveUnate;
-  {
-    ElRf<Lut> delay;
-    ElRf<Lut> out_slew;
-    build_chain_tables(chain, first, cfg, aocv, delay, out_slew);
-    GraphArc& arc = g.arc(id);
-    arc.delay = g.own_tables(std::move(delay));
-    arc.out_slew = g.own_tables(std::move(out_slew));
-    arc.kind = GraphArcKind::kCell;
-    arc.sense = first;
-    arc.baked_derate = true;
-  }
-  if (sense == ArcSense::kNonUnate) {
-    ElRf<Lut> delay;
-    ElRf<Lut> out_slew;
-    build_chain_tables(chain, ArcSense::kNegativeUnate, cfg, aocv, delay,
-                       out_slew);
-    const GraphArc arc = g.arc(id);
-    const ElRf<Lut>* dt = g.own_tables(std::move(delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(out_slew));
-    const ArcId neg =
-        delta ? g.delta_add_cell_arc(arc.from, arc.to,
-                                     ArcSense::kNegativeUnate, dt, st, false)
-              : g.add_cell_arc(arc.from, arc.to, ArcSense::kNegativeUnate, dt,
-                               st, false);
-    g.arc(neg).baked_derate = true;
-  }
-}
-
-}  // namespace
-
-namespace size_model {
-
-/// Approximate serialized-storage cost of an arc, in doubles.
-std::size_t arc_cost(const TimingGraph& g, ArcId a,
-                     const std::unordered_map<ArcId, Chain>& chains,
-                     std::size_t max_points);
-
-/// Cost a chain will have once materialized.
+/// Approximate serialized-storage cost a chain will have once
+/// materialized, in doubles.
 std::size_t chain_cost(const Chain& chain, std::size_t max_points) {
   const std::size_t mp = std::max<std::size_t>(2, max_points);
   const bool twod = arc_load_dependent(chain.back().arc);
@@ -329,8 +124,8 @@ std::size_t chain_cost(const Chain& chain, std::size_t max_points) {
   return chain_sense(chain) == ArcSense::kNonUnate ? 2 * cost : cost;
 }
 
-std::size_t arc_cost(const TimingGraph& g, ArcId a,
-                     const std::unordered_map<ArcId, Chain>& chains,
+/// Approximate serialized-storage cost of an arc, in doubles.
+std::size_t arc_cost(const TimingGraph& g, ArcId a, const ChainMap& chains,
                      std::size_t max_points) {
   auto it = chains.find(a);
   if (it != chains.end()) return chain_cost(it->second, max_points);
@@ -344,21 +139,167 @@ std::size_t arc_cost(const TimingGraph& g, ArcId a,
   return cost;
 }
 
-}  // namespace size_model
+/// Fan limits and launch adjacency for a pin with fanin `fin` and
+/// fanout `fout`, both non-empty: true when the pin must be kept.
+bool fan_refused(const TimingGraph& g, const std::vector<ArcId>& fin,
+                 const std::vector<ArcId>& fout, const MergeConfig& cfg) {
+  if ((cfg.single_fanin_only && fin.size() > 1) ||
+      fin.size() * fout.size() > cfg.max_fan_product)
+    return true;
+  for (ArcId a : fin)
+    if (g.arc(a).is_launch) return true;
+  for (ArcId a : fout)
+    if (g.arc(a).is_launch) return true;
+  return false;
+}
+
+/// Storage gate: removing the pin must not grow the model. Compares the
+/// storage of the incident arcs against the spliced chain arcs (merging
+/// a high-fanout pin would duplicate its fanin surface per sink).
+bool grows_model(const TimingGraph& g, const std::vector<ArcId>& fin,
+                 const std::vector<ArcId>& fout, const ChainMap& chains,
+                 const MergeConfig& cfg) {
+  const std::size_t mp = cfg.index.max_points;
+  std::size_t before = 24;  // node record itself
+  for (ArcId a : fin) before += arc_cost(g, a, chains, mp);
+  for (ArcId a : fout) before += arc_cost(g, a, chains, mp);
+  std::size_t after = 0;
+  for (ArcId ia : fin)
+    for (ArcId oa : fout)
+      after += chain_cost(spliced_chain(g, chains, ia, oa), mp);
+  return after > before;
+}
+
+enum class Verdict {
+  kIllegal,  ///< never a merge candidate (not counted as refused)
+  kRefused,  ///< legal, but kept for timing safety or model size
+  kMerge,
+};
+
+/// The merge rules both merge paths apply to pin `n` with live fanin
+/// `fin` and fanout `fout` (see merge.hpp for the rationale).
+Verdict merge_verdict(const TimingGraph& g, NodeId n, bool has_check,
+                      const std::vector<ArcId>& fin,
+                      const std::vector<ArcId>& fout, const ChainMap& chains,
+                      const MergeConfig& cfg) {
+  if (!mergeable_static(g, n) || has_check) return Verdict::kIllegal;
+  if (fin.empty() || fout.empty()) return Verdict::kMerge;  // dangling
+  if (fan_refused(g, fin, fout, cfg) || grows_model(g, fin, fout, chains, cfg))
+    return Verdict::kRefused;
+  return Verdict::kMerge;
+}
+
+/// Remove pin `n`: splice one chain arc per (fanin, fanout) pair, in
+/// fanin-major order — the arc-id allocation and chain-map insertion
+/// order both merge paths share — then kill the pin's incident arcs and
+/// the pin. Tables are materialized later (materialize_chains).
+void splice_out(TimingGraph& g, NodeId n, const std::vector<ArcId>& fin,
+                const std::vector<ArcId>& fout, ChainMap& chains, bool delta) {
+  for (ArcId ia : fin) {
+    for (ArcId oa : fout) {
+      const NodeId from = g.arc(ia).from;
+      const NodeId to = g.arc(oa).to;
+      Chain merged = spliced_chain(g, chains, ia, oa);
+      const ArcId na = add_arc(g, from, to, chain_sense(merged), nullptr,
+                               nullptr, delta);
+      chains.emplace(na, std::move(merged));
+    }
+  }
+  for (ArcId a : fin) {
+    kill_arc(g, a, delta);
+    chains.erase(a);
+  }
+  for (ArcId a : fout) {
+    kill_arc(g, a, delta);
+    chains.erase(a);
+  }
+  if (delta)
+    g.delta_set_node_dead(n, true);
+  else
+    g.node(n).dead = true;
+}
+
+/// Give every live chain arc its tables, in chain-map iteration order.
+/// Unate chains need one arc; non-unate chains split into a positive-
+/// and a negative-unate variant (appended) so each input transition
+/// keeps its own delay surface.
+void materialize_chains(TimingGraph& g, const ChainMap& chains,
+                        const MergeConfig& cfg, bool delta) {
+  for (const auto& [id, chain] : chains) {
+    if (g.arc(id).dead) continue;
+    const ArcSense sense = chain_sense(chain);
+    const ArcSense first = sense == ArcSense::kNegativeUnate
+                               ? ArcSense::kNegativeUnate
+                               : ArcSense::kPositiveUnate;
+    ComposedTables ct = compose_chain(chain, first, cfg.index, cfg.aocv);
+    GraphArc& arc = g.arc(id);
+    arc.delay = g.own_tables(std::move(ct.delay));
+    arc.out_slew = g.own_tables(std::move(ct.out_slew));
+    arc.kind = GraphArcKind::kCell;
+    arc.sense = first;
+    arc.baked_derate = true;
+    if (sense != ArcSense::kNonUnate) continue;
+    ct = compose_chain(chain, ArcSense::kNegativeUnate, cfg.index, cfg.aocv);
+    const NodeId from = arc.from;
+    const NodeId to = arc.to;
+    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
+    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
+    const ArcId neg =
+        add_arc(g, from, to, ArcSense::kNegativeUnate, dt, st, delta);
+    g.arc(neg).baked_derate = true;
+  }
+}
+
+/// Fold parallel duplicates among arcs [begin, num_arcs), scanning in id
+/// order: a live non-launch arc whose key already has a representative
+/// (an arc met earlier in the scan, else a live arc of `pristine`) is
+/// enveloped with it into a new arc that becomes the representative.
+/// Killed representatives below `begin` are appended to `killed`.
+/// Returns the number of folds.
+std::size_t fold_parallel(TimingGraph& g, ArcId begin,
+                          const KeyIndex& pristine, const MergeConfig& cfg,
+                          bool delta, std::vector<ArcId>& killed) {
+  KeyIndex seen;
+  std::size_t folds = 0;
+  for (ArcId a = begin; a < g.num_arcs(); ++a) {
+    const GraphArc arc = g.arc(a);
+    if (arc.dead || arc.is_launch) continue;
+    const std::uint64_t key = parallel_key(arc);
+    ArcId repid = kInvalidId;
+    if (auto it = seen.find(key); it != seen.end()) {
+      repid = it->second;
+    } else if (auto pt = pristine.find(key);
+               pt != pristine.end() && !g.arc(pt->second).dead) {
+      repid = pt->second;
+    }
+    if (repid == kInvalidId || repid == a) {
+      seen.emplace(key, a);
+      continue;
+    }
+    const GraphArc rep = g.arc(repid);
+    ComposedTables ct = compose_parallel(rep, arc, cfg.index, cfg.aocv,
+                                         g.node(arc.from).aocv_depth);
+    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
+    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
+    kill_arc(g, repid, delta);
+    if (repid < begin) killed.push_back(repid);
+    kill_arc(g, a, delta);
+    const ArcId na = add_arc(g, arc.from, arc.to, ct.sense, dt, st, delta);
+    g.arc(na).baked_derate =
+        cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
+    seen[key] = na;
+    ++folds;
+  }
+  return folds;
+}
+
+}  // namespace
 
 bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg) {
-  if (!mergeable_static(g, n)) return false;
-  if (!g.checks_of(n).empty()) return false;
-  const auto fi = g.fanin(n).size();
-  const auto fo = g.fanout(n).size();
-  if (fi == 0 || fo == 0) return true;  // dangling: droppable
-  if (cfg.single_fanin_only && fi > 1) return false;
-  if (fi * fo > cfg.max_fan_product) return false;
-  for (ArcId a : g.fanin(n))
-    if (g.arc(a).is_launch) return false;
-  for (ArcId a : g.fanout(n))
-    if (g.arc(a).is_launch) return false;
-  return true;
+  if (!mergeable_static(g, n) || !g.checks_of(n).empty()) return false;
+  const auto& fin = g.fanin(n);
+  const auto& fout = g.fanout(n);
+  return fin.empty() || fout.empty() || !fan_refused(g, fin, fout, cfg);
 }
 
 MergeStats merge_insensitive_pins(TimingGraph& g,
@@ -367,116 +308,40 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
   obs::Span span("macro.merge");
   MergeStats stats;
   LocalAdjacency adj(g);
-  // Chains backing arcs created during this merge; primitive arcs have
-  // no entry. Keyed by arc id.
-  std::unordered_map<ArcId, Chain> chains;
-
-  auto chain_of = [&](ArcId a) -> Chain {
-    auto it = chains.find(a);
-    if (it != chains.end()) return it->second;
-    const GraphArc& arc = g.arc(a);
-    return Chain{{arc, g.node(arc.to).static_load_ff,
-                  g.node(arc.from).aocv_depth}};
-  };
-
+  ChainMap chains;
   bool changed = true;
   int rounds = 0;
   while (changed && rounds++ < 10) {
     changed = false;
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       if (n < keep.size() && keep[n]) continue;
-      if (!mergeable_static(g, n) || adj.has_check[n]) continue;
-      const auto& fin = adj.fanin[n];
-      const auto& fout = adj.fanout[n];
-      const bool dangling = fin.empty() || fout.empty();
-      if (!dangling) {
-        if ((cfg.single_fanin_only && fin.size() > 1) ||
-            fin.size() * fout.size() > cfg.max_fan_product) {
-          ++stats.refused;
-          continue;
-        }
-        bool launch_adjacent = false;
-        for (ArcId a : fin)
-          if (g.arc(a).is_launch) launch_adjacent = true;
-        for (ArcId a : fout)
-          if (g.arc(a).is_launch) launch_adjacent = true;
-        if (launch_adjacent) {
-          ++stats.refused;
-          continue;
-        }
-        // Removing the pin must not grow the model: compare the storage
-        // of the incident arcs against the spliced chain arcs (merging a
-        // high-fanout pin would duplicate its fanin surface per sink).
-        {
-          std::size_t before = 24;  // node record itself
-          for (ArcId a : fin)
-            before += size_model::arc_cost(g, a, chains,
-                                           cfg.index.max_points);
-          for (ArcId a : fout)
-            before +=
-                size_model::arc_cost(g, a, chains, cfg.index.max_points);
-          std::size_t after = 0;
-          for (ArcId ia : fin) {
-            for (ArcId oa : fout) {
-              Chain probe = chain_of(ia);
-              const Chain tail = chain_of(oa);
-              probe.insert(probe.end(), tail.begin(), tail.end());
-              after += size_model::chain_cost(probe, cfg.index.max_points);
-            }
-          }
-          if (after > before) {
-            ++stats.refused;
-            continue;
-          }
-        }
-        // Splice chain arcs for every (in, out) pair; tables are
-        // materialized once, after all merging settles.
-        const std::vector<ArcId> ins(fin);
-        const std::vector<ArcId> outs(fout);
-        for (ArcId ia : ins) {
-          for (ArcId oa : outs) {
-            const NodeId from = g.arc(ia).from;
-            const NodeId to = g.arc(oa).to;
-            Chain merged = chain_of(ia);
-            const Chain tail = chain_of(oa);
-            merged.insert(merged.end(), tail.begin(), tail.end());
-            const ArcId na =
-                g.add_cell_arc(from, to, chain_sense(merged), nullptr,
-                               nullptr, /*is_launch=*/false);
-            chains.emplace(na, std::move(merged));
-            adj.fanin.resize(g.num_nodes());
-            adj.fanout.resize(g.num_nodes());
-            adj.fanout[from].push_back(na);
-            adj.fanin[to].push_back(na);
-            ++stats.serial_arcs_created;
-          }
-        }
+      const Verdict v = merge_verdict(g, n, adj.has_check[n], adj.fanin[n],
+                                      adj.fanout[n], chains, cfg);
+      if (v == Verdict::kIllegal) continue;
+      if (v == Verdict::kRefused) {
+        ++stats.refused;
+        continue;
       }
-      const std::vector<ArcId> ins(adj.fanin[n]);
-      const std::vector<ArcId> outs(adj.fanout[n]);
-      for (ArcId a : ins) {
-        adj.remove(adj.fanout[g.arc(a).from], a);
-        g.kill_arc(a);
-        chains.erase(a);
+      const std::vector<ArcId> fin(adj.fanin[n]);
+      const std::vector<ArcId> fout(adj.fanout[n]);
+      const ArcId first_new = static_cast<ArcId>(g.num_arcs());
+      splice_out(g, n, fin, fout, chains, /*delta=*/false);
+      for (ArcId na = first_new; na < g.num_arcs(); ++na) {
+        adj.fanout[g.arc(na).from].push_back(na);
+        adj.fanin[g.arc(na).to].push_back(na);
       }
-      for (ArcId a : outs) {
-        adj.remove(adj.fanin[g.arc(a).to], a);
-        g.kill_arc(a);
-        chains.erase(a);
-      }
+      stats.serial_arcs_created += g.num_arcs() - first_new;
+      for (ArcId a : fin) adj.remove(adj.fanout[g.arc(a).from], a);
+      for (ArcId a : fout) adj.remove(adj.fanin[g.arc(a).to], a);
       adj.fanin[n].clear();
       adj.fanout[n].clear();
-      g.node(n).dead = true;
       ++stats.pins_removed;
       changed = true;
     }
   }
 
   // Materialize every surviving chain arc in one end-to-end sampling.
-  for (auto& [id, chain] : chains) {
-    if (g.arc(id).dead) continue;
-    materialize_chain(g, id, chain, cfg.index, cfg.aocv);
-  }
+  materialize_chains(g, chains, cfg, /*delta=*/false);
 
   stats.parallel_arcs_merged = merge_parallel_arcs(g, cfg);
   g_pins_removed.add(stats.pins_removed);
@@ -488,31 +353,8 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
 }
 
 std::size_t merge_parallel_arcs(TimingGraph& g, const MergeConfig& cfg) {
-  std::unordered_map<std::uint64_t, ArcId> first_arc;
-  std::size_t merged = 0;
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const GraphArc arc = g.arc(a);
-    if (arc.dead || arc.is_launch) continue;
-    const std::uint64_t key = parallel_key(arc);
-    auto [it, inserted] = first_arc.emplace(key, a);
-    if (inserted || it->second == a) continue;
-    // Fold this arc into the representative by worst-case envelope.
-    const GraphArc rep = g.arc(it->second);
-    ComposedTables ct = compose_parallel(
-        g, rep, arc, g.node(arc.to).static_load_ff, cfg.index, cfg.aocv,
-        g.node(arc.from).aocv_depth);
-    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
-    g.kill_arc(it->second);
-    g.kill_arc(a);
-    const ArcId na =
-        g.add_cell_arc(arc.from, arc.to, ct.sense, dt, st, false);
-    g.arc(na).baked_derate =
-        cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
-    it->second = na;
-    ++merged;
-  }
-  return merged;
+  std::vector<ArcId> killed;  // stays empty: no arc precedes id 0
+  return fold_parallel(g, 0, {}, cfg, /*delta=*/false, killed);
 }
 
 bool has_parallel_duplicate_arcs(const TimingGraph& g) {
@@ -539,14 +381,18 @@ MergeDelta::MergeDelta(TimingGraph& g) : g_(&g) {
 }
 
 // The body below replays merge_insensitive_pins for a single-pin keep
-// mask step by step — same refusal rules, same splice order (and thus
-// the same arc-id allocation sequence as on a scratch copy), the same
-// unordered_map key/insertion sequence for chain materialization (hence
-// the same iteration order and id sequence for non-unate second-variant
-// arcs), and a fold-for-fold replay of the merge_parallel_arcs scan.
-// That replication is what makes the incremental TS path bit-identical
-// to the copy + full-merge path; the equivalence is enforced by the
-// randomized harness in tests/test_sta_incremental.cpp.
+// mask step by step through the same helpers — same merge verdict, same
+// splice order (and thus the same arc-id allocation sequence as on a
+// scratch copy), the same chain-map key/insertion sequence for chain
+// materialization (hence the same iteration order and id sequence for
+// non-unate second-variant arcs), and the same fold scan as
+// merge_parallel_arcs, restricted to the appended id range: with no
+// duplicate keys among live pristine arcs, a full scan would only
+// register those, so scanning the new arcs against the pristine key
+// index reproduces it exactly. That replication is what makes the
+// incremental TS path bit-identical to the copy + full-merge path; the
+// equivalence is enforced by the randomized harness in
+// tests/test_sta_incremental.cpp.
 bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   if (applied_)
     throw std::logic_error("MergeDelta::apply: previous delta not undone");
@@ -554,110 +400,21 @@ bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   TimingGraph& g = *g_;
   touched_.clear();
   killed_.clear();
-  if (!mergeable_static(g, pin) || !g.checks_of(pin).empty()) return false;
   const std::vector<ArcId> fin(g.fanin(pin));
   const std::vector<ArcId> fout(g.fanout(pin));
-  const bool dangling = fin.empty() || fout.empty();
-  std::unordered_map<ArcId, Chain> chains;
-  auto chain_of = [&](ArcId a) -> Chain {
-    auto it = chains.find(a);
-    if (it != chains.end()) return it->second;
-    const GraphArc& arc = g.arc(a);
-    return Chain{{arc, g.node(arc.to).static_load_ff,
-                  g.node(arc.from).aocv_depth}};
-  };
-  if (!dangling) {
-    if ((cfg.single_fanin_only && fin.size() > 1) ||
-        fin.size() * fout.size() > cfg.max_fan_product)
-      return false;
-    for (ArcId a : fin)
-      if (g.arc(a).is_launch) return false;
-    for (ArcId a : fout)
-      if (g.arc(a).is_launch) return false;
-    std::size_t before = 24;  // node record itself
-    for (ArcId a : fin)
-      before += size_model::arc_cost(g, a, chains, cfg.index.max_points);
-    for (ArcId a : fout)
-      before += size_model::arc_cost(g, a, chains, cfg.index.max_points);
-    std::size_t after = 0;
-    for (ArcId ia : fin) {
-      for (ArcId oa : fout) {
-        Chain probe = chain_of(ia);
-        const Chain tail = chain_of(oa);
-        probe.insert(probe.end(), tail.begin(), tail.end());
-        after += size_model::chain_cost(probe, cfg.index.max_points);
-      }
-    }
-    if (after > before) return false;
-  }
+  ChainMap chains;
+  if (merge_verdict(g, pin, !g.checks_of(pin).empty(), fin, fout, chains,
+                    cfg) != Verdict::kMerge)
+    return false;
   base_arcs_ = g.num_arcs();
   base_tables_ = g.num_owned_tables();
   pin_ = pin;
-  if (!dangling) {
-    for (ArcId ia : fin) {
-      for (ArcId oa : fout) {
-        const NodeId from = g.arc(ia).from;
-        const NodeId to = g.arc(oa).to;
-        Chain merged = chain_of(ia);
-        const Chain tail = chain_of(oa);
-        merged.insert(merged.end(), tail.begin(), tail.end());
-        const ArcId na = g.delta_add_cell_arc(from, to, chain_sense(merged),
-                                              nullptr, nullptr,
-                                              /*is_launch=*/false);
-        chains.emplace(na, std::move(merged));
-      }
-    }
-  }
-  for (ArcId a : fin) {
-    g.delta_kill_arc(a);
-    killed_.push_back(a);
-  }
-  for (ArcId a : fout) {
-    g.delta_kill_arc(a);
-    killed_.push_back(a);
-  }
-  g.delta_set_node_dead(pin, true);
-  for (auto& [id, chain] : chains) {
-    if (g.arc(id).dead) continue;
-    materialize_chain(g, id, chain, cfg.index, cfg.aocv, /*delta=*/true);
-  }
-  // Parallel folding restricted to the appended id range: with no
-  // duplicate keys among live pristine arcs, a full merge_parallel_arcs
-  // scan would only register those, so replaying the scan over the new
-  // arcs against the pristine key index reproduces it exactly.
-  std::unordered_map<std::uint64_t, ArcId> local;
-  auto rep_for = [&](std::uint64_t key) -> ArcId {
-    auto it = local.find(key);
-    if (it != local.end()) return it->second;
-    auto pt = pristine_keys_.find(key);
-    if (pt != pristine_keys_.end() && !g.arc(pt->second).dead)
-      return pt->second;
-    return kInvalidId;
-  };
-  for (ArcId a = static_cast<ArcId>(base_arcs_); a < g.num_arcs(); ++a) {
-    const GraphArc arc = g.arc(a);
-    if (arc.dead || arc.is_launch) continue;
-    const std::uint64_t key = parallel_key(arc);
-    const ArcId repid = rep_for(key);
-    if (repid == kInvalidId || repid == a) {
-      local.emplace(key, a);
-      continue;
-    }
-    const GraphArc rep = g.arc(repid);
-    ComposedTables ct = compose_parallel(
-        g, rep, arc, g.node(arc.to).static_load_ff, cfg.index, cfg.aocv,
-        g.node(arc.from).aocv_depth);
-    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
-    g.delta_kill_arc(repid);
-    if (repid < base_arcs_) killed_.push_back(repid);
-    g.delta_kill_arc(a);
-    const ArcId na =
-        g.delta_add_cell_arc(arc.from, arc.to, ct.sense, dt, st, false);
-    g.arc(na).baked_derate =
-        cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
-    local[key] = na;
-  }
+  splice_out(g, pin, fin, fout, chains, /*delta=*/true);
+  killed_.insert(killed_.end(), fin.begin(), fin.end());
+  killed_.insert(killed_.end(), fout.begin(), fout.end());
+  materialize_chains(g, chains, cfg, /*delta=*/true);
+  fold_parallel(g, static_cast<ArcId>(base_arcs_), pristine_keys_, cfg,
+                /*delta=*/true, killed_);
   // Every node whose fanin or fanout arc set changed: the removed pin
   // and its former neighbors (fold reps/products share those endpoints).
   touched_.push_back(pin);

@@ -3,6 +3,13 @@
 // insensitive from an ILM graph, splicing in re-characterized composite
 // arcs, then collapse parallel duplicate arcs into worst-case envelopes.
 //
+// This module owns the graph surgery only: which pins may go, which
+// arcs are spliced in and killed, which duplicates fold, and in which
+// order ids are allocated. The tables of every arc it creates come from
+// macro/compose.hpp (compose_chain for serial chains, compose_parallel
+// for envelopes). The full merge and MergeDelta share one copy of each
+// rule and step (merge verdict, splice, chain materialization, fold).
+//
 // Merging a pin is refused (the pin is kept regardless of prediction)
 // when removal could change boundary timing structurally:
 //   - boundary ports, flip-flop data/clock pins, check endpoints;
@@ -13,7 +20,9 @@
 //     worst slew over fanins at such pins, and per-path composition
 //     cannot reproduce that coupling, so removal would not be
 //     timing-safe (single-fanin pins compose exactly);
-//   - high-fanout pins whose removal would blow up the arc count.
+//   - high-fanout pins whose removal would blow up the arc count, or
+//     whose spliced chain arcs would store more than the arcs they
+//     replace.
 
 #include <unordered_map>
 #include <vector>
@@ -45,7 +54,8 @@ struct MergeStats {
   std::size_t refused = 0;  ///< predicted-removable pins kept for safety
 };
 
-/// True if the node may legally be merged away.
+/// True if the node may legally be merged away (every merge rule but the
+/// storage gate, which depends on the chains of an ongoing merge).
 bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg);
 
 /// Remove every node with keep[n] == false that is legally mergeable.
@@ -65,8 +75,8 @@ bool has_parallel_duplicate_arcs(const TimingGraph& g);
 /// Single-pin merge with undo, for the what-if loop of timing-
 /// sensitivity evaluation: removes one pin in place via the graph's
 /// delta_* mutators — replicating merge_insensitive_pins({pin}) arc for
-/// arc, including refusal rules, splice order, chain materialization
-/// and parallel-duplicate folding — and restores the graph byte-
+/// arc through the same merge verdict, splice, chain materialization
+/// and parallel-duplicate fold — and restores the graph byte-
 /// equivalently afterwards, keeping the cached adjacency and
 /// topological order valid throughout. One MergeDelta per scratch graph
 /// amortizes the pristine duplicate-key index across pins.

@@ -34,7 +34,6 @@ TEST(ComposeParallel, TakesWorstCaseEnvelope) {
   const Library& lib = test::shared_library();
   const ArcSpec& fast = lib.cell(lib.cell_id("BUF_X4")).arcs[0];
   const ArcSpec& slow = lib.cell(lib.cell_id("BUF_X1")).arcs[0];
-  TimingGraph g;
   GraphArc a;
   a.kind = GraphArcKind::kCell;
   a.sense = fast.sense;
@@ -43,7 +42,7 @@ TEST(ComposeParallel, TakesWorstCaseEnvelope) {
   GraphArc b = a;
   b.delay = &slow.delay;
   b.out_slew = &slow.out_slew;
-  const ComposedTables ct = compose_parallel(g, a, b, 4.0, {});
+  const ComposedTables ct = compose_parallel(a, b, {});
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
     const double s = rng.uniform(1.0, 100.0);

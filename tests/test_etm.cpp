@@ -51,7 +51,7 @@ TEST(Etm, ApproximatesBoundaryTimingWithoutStructuralLoss) {
     sets.push_back(random_constraints(d.primary_inputs().size(),
                                       d.primary_outputs().size(), {}, rng));
   const AccuracyReport rep =
-      evaluate_accuracy(flat, model.graph, sets, /*cppr=*/false);
+      evaluate_accuracy(flat, model.graph, sets, {.cppr = false});
   EXPECT_EQ(rep.structural_mismatches, 0u);
   // Port-to-port models carry real context error, but must stay within
   // the same timescale as the paths themselves.

@@ -21,7 +21,7 @@ TEST_P(IlmOnDesign, BoundaryTimingIsExact) {
                                       d.primary_outputs().size(), {}, rng));
   for (bool cppr : {false, true}) {
     const AccuracyReport rep =
-        evaluate_accuracy(flat, ilm.graph, sets, cppr);
+        evaluate_accuracy(flat, ilm.graph, sets, {.cppr = cppr});
     EXPECT_LT(rep.max_err_ps, 1e-6) << "cppr=" << cppr;
     EXPECT_EQ(rep.structural_mismatches, 0u);
   }

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "liberty/library_gen.hpp"
 #include "test_helpers.hpp"
 
@@ -70,29 +68,6 @@ TEST(Library, DuplicateCellRejected) {
   lib.add_cell(c);
   EXPECT_THROW(lib.add_cell(c), std::invalid_argument);
   EXPECT_THROW(lib.cell_id("nope"), std::out_of_range);
-}
-
-TEST(Library, SerializationRoundTrip) {
-  const Library& lib = test::shared_library();
-  std::stringstream ss;
-  const std::size_t bytes = lib.write(ss);
-  EXPECT_GT(bytes, 1000u);
-  EXPECT_EQ(bytes, lib.serialized_size());
-  const Library back = Library::read(ss);
-  ASSERT_EQ(back.num_cells(), lib.num_cells());
-  for (CellId i = 0; i < lib.num_cells(); ++i) {
-    const Cell& a = lib.cell(i);
-    const Cell& b = back.cell(i);
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.ports.size(), b.ports.size());
-    ASSERT_EQ(a.arcs.size(), b.arcs.size());
-    for (std::size_t k = 0; k < a.arcs.size(); ++k) {
-      EXPECT_EQ(a.arcs[k].kind, b.arcs[k].kind);
-      // Spot-check one surface value survives the round trip.
-      EXPECT_NEAR(a.arcs[k].delay(kLate, kRise).lookup(10, 5),
-                  b.arcs[k].delay(kLate, kRise).lookup(10, 5), 1e-6);
-    }
-  }
 }
 
 TEST(Library, SenseTransitionHelpers) {

@@ -41,7 +41,8 @@ TEST(Merge, FullMergeKeepsChainTimingTight) {
   std::vector<bool> keep(merged.num_nodes(), false);
   merge_insensitive_pins(merged, keep);
   const auto sets = eval_sets(d, 9);
-  const AccuracyReport rep = evaluate_accuracy(flat, merged, sets, false);
+  const AccuracyReport rep =
+      evaluate_accuracy(flat, merged, sets, {.cppr = false});
   EXPECT_EQ(rep.structural_mismatches, 0u);
   EXPECT_LT(rep.max_err_ps, 0.6);  // re-sampling error only
 }
@@ -106,7 +107,7 @@ TEST_P(MergeOnDesign, IlmThenFullMergeStaysAccurate) {
   const auto sets = eval_sets(d, GetParam() * 13 + 1);
   for (bool cppr : {false, true}) {
     const AccuracyReport rep =
-        evaluate_accuracy(flat, ilm.graph, sets, cppr);
+        evaluate_accuracy(flat, ilm.graph, sets, {.cppr = cppr});
     EXPECT_EQ(rep.structural_mismatches, 0u) << "cppr=" << cppr;
     EXPECT_LT(rep.max_err_ps, 100.0) << "cppr=" << cppr;
   }
@@ -173,7 +174,7 @@ TEST(Merge, ModelIoRoundTripPreservesTiming) {
 
   const auto sets = eval_sets(d, 55);
   const AccuracyReport rep =
-      evaluate_accuracy(model.graph, back.graph, sets, true);
+      evaluate_accuracy(model.graph, back.graph, sets, {.cppr = true});
   EXPECT_EQ(rep.structural_mismatches, 0u);
   EXPECT_LT(rep.max_err_ps, 1e-5);  // text precision only
 }

@@ -82,7 +82,8 @@ TEST_P(DesignSweep, IlmIsBoundaryExact) {
   std::vector<BoundaryConstraints> sets;
   sets.push_back(random_constraints(d.primary_inputs().size(),
                                     d.primary_outputs().size(), {}, rng));
-  const AccuracyReport rep = evaluate_accuracy(flat, ilm.graph, sets, true);
+  const AccuracyReport rep =
+      evaluate_accuracy(flat, ilm.graph, sets, {.cppr = true});
   EXPECT_LT(rep.max_err_ps, 1e-6);
   EXPECT_EQ(rep.structural_mismatches, 0u);
 }
@@ -100,7 +101,8 @@ TEST_P(DesignSweep, FullMergeStaysInPaperErrorRegime) {
   for (int i = 0; i < 2; ++i)
     sets.push_back(random_constraints(d.primary_inputs().size(),
                                       d.primary_outputs().size(), {}, rng));
-  const AccuracyReport rep = evaluate_accuracy(flat, ilm.graph, sets, true);
+  const AccuracyReport rep =
+      evaluate_accuracy(flat, ilm.graph, sets, {.cppr = true});
   EXPECT_EQ(rep.structural_mismatches, 0u);
   // Sense-split chain materialization keeps even the most aggressive
   // merge within a fraction of a picosecond.

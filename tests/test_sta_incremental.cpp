@@ -292,6 +292,44 @@ TEST(TsIncremental, EvaluateTimingSensitivityBitIdentical) {
   }
 }
 
+TEST(TsIncremental, ParallelDuplicateArcsFallBackToFullPath) {
+  const Design d = test::make_small_design("ts_dup", 111);
+  const TimingGraph flat = build_timing_graph(d);
+  IlmResult ilm = extract_ilm(flat);
+  TimingGraph& g = ilm.graph;
+  // Duplicate one live cell arc (same endpoints, sense and tables).
+  ArcId dup = kInvalidId;
+  for (ArcId a = 0; a < g.num_arcs() && dup == kInvalidId; ++a) {
+    const GraphArc& arc = g.arc(a);
+    if (!arc.dead && !arc.is_launch && arc.kind == GraphArcKind::kCell)
+      dup = a;
+  }
+  ASSERT_NE(dup, kInvalidId);
+  const GraphArc arc = g.arc(dup);
+  g.add_cell_arc(arc.from, arc.to, arc.sense, arc.delay, arc.out_slew);
+  ASSERT_TRUE(has_parallel_duplicate_arcs(g));
+  TimingGraph scratch = g;
+  EXPECT_FALSE(MergeDelta(scratch).applicable());
+
+  std::vector<bool> cands(g.num_nodes(), true);
+  TsConfig cfg;
+  cfg.num_constraint_sets = 2;
+  cfg.threads = 2;
+  cfg.incremental = true;
+  const TsResult inc = evaluate_timing_sensitivity(g, cands, cfg);
+  cfg.incremental = false;
+  const TsResult full = evaluate_timing_sensitivity(g, cands, cfg);
+  ASSERT_EQ(inc.ts.size(), full.ts.size());
+  EXPECT_EQ(inc.evaluated_pins, full.evaluated_pins);
+  std::size_t nonzero = 0;
+  for (std::size_t n = 0; n < inc.ts.size(); ++n) {
+    EXPECT_EQ(std::memcmp(&inc.ts[n], &full.ts[n], sizeof(double)), 0)
+        << "ts[" << n << "]: " << inc.ts[n] << " vs " << full.ts[n];
+    nonzero += inc.ts[n] != 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(nonzero, 0u);
+}
+
 TEST(TsEval, MeanRelativeDiffSizeMismatchIsMaxPenalty) {
   const std::vector<double> a{1.0, 2.0};
   const std::vector<double> b{1.0};

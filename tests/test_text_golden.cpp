@@ -94,7 +94,6 @@ TEST(TextGolden, Library) {
   const Library& lib = test::shared_library();
   std::ostringstream os;
   const std::size_t bytes = lib.write(os);
-  EXPECT_EQ(lib.serialized_size(), bytes);
   expect_golden(os.str(), bytes, 10333715087192808600ull, 275770);
 }
 
