@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: LUT lookup, full STA propagation (serial and
 // level-parallel), the slew-only filter propagation, GraphSAGE
-// inference, feature extraction, ILM extraction, merging, .macro
-// formatting and the incremental TS evaluation loop.
+// inference and training epochs (1/2/4 threads), feature extraction,
+// ILM extraction, merging, .macro formatting and the incremental TS
+// evaluation loop.
 //
 // Besides the google-benchmark entries, main() directly times the TS
 // loop full vs incremental (`speedup_incremental`) and serial vs
@@ -316,28 +317,51 @@ void BM_GnnInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GnnInference)->Unit(benchmark::kMillisecond);
 
+// GNN training epochs over the six training designs at scale 20 (the
+// perfbench `train` input, unseeded; 314..1087 nodes, 3820 in all) at
+// state.range(0) threads: the samples' forward/backward passes run one
+// per task, then reduce in sample order. Each iteration is one
+// train_model call of kEpochs epochs; `epoch_s` spreads the call's
+// fixed cost (workspaces, the closing confusion pass) over them.
+// Labels mark every 7th pin, so set-up skips the TS loop.
 void BM_GnnTrainEpoch(benchmark::State& state) {
-  static const IlmResult ilm = extract_ilm(flat_graph());
-  GraphSample sample;
-  sample.graph = GnnGraph::from_timing_graph(ilm.graph);
-  sample.features = extract_features(ilm.graph, true);
-  sample.labels.assign(ilm.graph.num_nodes(), 0.0f);
-  for (std::size_t i = 0; i < sample.labels.size(); i += 7)
-    sample.labels[i] = 1.0f;
-  sample.mask.assign(ilm.graph.num_nodes(), 1);
+  static const std::vector<GraphSample> samples = [] {
+    std::vector<GraphSample> out;
+    for (const SuiteEntry& e : training_suite(lib(), 20)) {
+      const IlmResult ilm =
+          extract_ilm(build_timing_graph(generate_design(lib(), e.cfg)));
+      GraphSample s;
+      s.graph = GnnGraph::from_timing_graph(ilm.graph);
+      s.features = extract_features(ilm.graph, true);
+      s.labels.assign(ilm.graph.num_nodes(), 0.0f);
+      for (std::size_t i = 0; i < s.labels.size(); i += 7) s.labels[i] = 1.0f;
+      s.mask.assign(ilm.graph.num_nodes(), 1);
+      out.push_back(std::move(s));
+    }
+    return out;
+  }();
   GnnModelConfig cfg;
   cfg.input_dim = kNumFeaturesWithCppr;
   GnnModel model(cfg);
-  const std::vector<GraphSample> samples{std::move(sample)};
   TrainConfig tc;
-  tc.epochs = 1;
+  constexpr int kEpochs = 10;
+  tc.epochs = kEpochs;
   tc.patience = 0;
+  tc.threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     TrainReport rep = train_model(model, samples, tc);
     benchmark::DoNotOptimize(rep.final_loss);
   }
+  state.counters["epoch_s"] = benchmark::Counter(
+      kEpochs, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_GnnTrainEpoch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GnnTrainEpoch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TsEvalFullVsIncremental(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

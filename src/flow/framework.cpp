@@ -53,6 +53,23 @@ Framework::Framework(FlowConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.data.ts.merge.aocv = cfg_.aocv;
   cfg_.merge.aocv = cfg_.aocv;
   cfg_.data.ts.threads = cfg_.threads;
+  cfg_.train.threads = cfg_.threads;
+}
+
+std::size_t Framework::feature_count() const noexcept {
+  return cfg_.cppr_feature ? kNumFeaturesWithCppr : kNumBasicFeatures;
+}
+
+void Framework::set_model(GnnModel model) {
+  const std::size_t dim = model.config().input_dim;
+  if (dim != feature_count())
+    throw fault::FlowError(
+        fault::ErrorCode::kConfig, "flow.model",
+        "the model reads " + std::to_string(dim) +
+            " features per pin, this flow extracts " +
+            std::to_string(feature_count()) + " (is_CPPR feature " +
+            (cfg_.cppr_feature ? "on" : "off") + ")");
+  gnn_ = std::move(model);
 }
 
 TrainingSummary Framework::train(std::span<const Design> designs) {
@@ -179,13 +196,12 @@ TrainingSummary Framework::train(std::span<const Design> designs) {
     // Bit-identical resume: ts_scale_ above was recomputed from the
     // checkpointed raw TS vectors, and the model weights are restored
     // verbatim, so downstream predictions match the uninterrupted run.
-    gnn_ = ckpt.load_model();
+    set_model(ckpt.load_model());
     summary.model_from_checkpoint = true;
     log_info("flow: GNN model restored from %s", ckpt.model_path().c_str());
   } else {
     GnnModelConfig gcfg = cfg_.gnn;
-    gcfg.input_dim =
-        cfg_.cppr_feature ? kNumFeaturesWithCppr : kNumBasicFeatures;
+    gcfg.input_dim = feature_count();
     gnn_.emplace(gcfg);
     TrainConfig tcfg = cfg_.train;
     if (cfg_.regression) tcfg.loss = LossKind::kMeanSquaredError;

@@ -80,9 +80,11 @@ struct FlowConfig {
   bool validate_stages = false;
 
   /// Worker threads for the compute-heavy stages: the TS labeling loop
-  /// (per-pin re-analyses fanned over workers) and the full-design STA
-  /// runs of accuracy evaluation (levelized parallel passes,
-  /// bit-identical to serial — see docs/PERFORMANCE.md). 0 = auto
+  /// (per-pin re-analyses fanned over workers), GNN training (one
+  /// sample's forward/backward pass per task, gradients added in sample
+  /// order) and the full-design STA runs of accuracy evaluation
+  /// (levelized parallel passes). All are bit-identical to serial —
+  /// see docs/PERFORMANCE.md. 0 = auto
   /// (TMM_THREADS when set, else hardware concurrency), 1 = serial,
   /// N = at most N. Plumbed from the tmm CLI's --threads flag.
   std::size_t threads = 0;
@@ -149,7 +151,9 @@ class Framework {
   /// True once a model has been trained or loaded.
   bool trained() const noexcept { return gnn_.has_value(); }
   GnnModel& model() { return *gnn_; }
-  void set_model(GnnModel model) { gnn_ = std::move(model); }
+  /// Throws fault::FlowError(kConfig) when the model's input width is
+  /// not this flow's feature count (FlowConfig::cppr_feature).
+  void set_model(GnnModel model);
 
   /// Predict the keep-set for an ILM graph (stage 2 inference).
   std::vector<bool> predict_keep(const TimingGraph& ilm,
@@ -179,6 +183,9 @@ class Framework {
       std::function<MacroModel(const TimingGraph&, GenerationStats*)>;
   DesignResult run_baseline(const obs::Span& root, const Design& design,
                             const BaselineGenerator& generate) const;
+
+  /// Features per pin the flow extracts: the GNN's input width.
+  std::size_t feature_count() const noexcept;
 
   FlowConfig cfg_;
   std::optional<GnnModel> gnn_;

@@ -19,21 +19,47 @@ struct GnnModelConfig {
   std::uint64_t seed = 99;
 };
 
+/// Buffers of one forward/backward pass over one graph, sized once by
+/// GnnModel::workspace and reused for every pass over that graph: a
+/// pass allocates nothing.
+struct GnnWorkspace {
+  std::vector<SageBuffers> sage;  ///< one per message-passing layer
+  DenseBuffers head;  ///< head.z: the logits; head.dz: dL/dlogits
+  Matrix scratch;     ///< n x hidden
+};
+
 class GnnModel {
  public:
   explicit GnnModel(GnnModelConfig cfg);
 
   const GnnModelConfig& config() const noexcept { return cfg_; }
 
-  /// Forward pass producing one logit per node (n x 1).
-  Matrix forward(const GnnGraph& g, const Matrix& x);
-  /// Backprop from dL/dlogits; accumulates parameter gradients.
-  void backward(const GnnGraph& g, const Matrix& dlogits);
+  /// Buffers for passes over a graph of `num_nodes` nodes; `backward`
+  /// adds the gradient buffers training needs.
+  GnnWorkspace workspace(std::size_t num_nodes, bool backward) const;
+  /// Empty when `x` holds one row of config().input_dim features per
+  /// node of `g`; otherwise what does not fit.
+  std::string input_mismatch(const GnnGraph& g, const Matrix& x) const;
+
+  /// Forward pass: ws.head.z receives one logit per node.
+  void forward(const GnnGraph& g, const Matrix& x, GnnWorkspace& ws) const;
+  /// Backprop from ws.head.dz after forward() on the same inputs. Fills
+  /// the workspace's gradients and leaves the parameters alone, so
+  /// passes over different samples may run concurrently.
+  void backward(const GnnGraph& g, const Matrix& x, GnnWorkspace& ws) const;
+  /// Adds a pass's gradients to the parameter accumulators, bias rows
+  /// in ascending order: one call per sample in sample order adds what
+  /// a serial forward/backward loop over the samples adds, bit for bit.
+  void accumulate(const GnnWorkspace& ws);
 
   std::vector<Param*> params();
 
-  /// Per-node probabilities sigmoid(logit).
-  std::vector<float> predict(const GnnGraph& g, const Matrix& x);
+  /// Per-node probabilities sigmoid(logit). Throws
+  /// fault::FlowError(kConfig) on an input_mismatch.
+  std::vector<float> predict(const GnnGraph& g, const Matrix& x) const;
+  /// The same forward into `ws`, a workspace for g.num_nodes nodes.
+  std::vector<float> predict(const GnnGraph& g, const Matrix& x,
+                             GnnWorkspace& ws) const;
 
   /// Text form, weights at 9 significant digits. Formats into its own
   /// buffer: the caller's stream precision and flags are left alone.

@@ -1,5 +1,7 @@
 #include "gnn/layers.hpp"
 
+#include <cassert>
+
 #include "sta/timing_graph.hpp"
 
 namespace tmm {
@@ -30,7 +32,8 @@ GnnGraph GnnGraph::from_timing_graph(const TimingGraph& g) {
 }
 
 void mean_aggregate(const GnnGraph& g, const Matrix& x, Matrix& out) {
-  out = Matrix(x.rows(), x.cols());
+  assert(out.rows() == x.rows() && out.cols() == x.cols());
+  out.fill(0.0f);
   for (std::size_t v = 0; v < g.num_nodes; ++v) {
     const std::size_t d = g.degree(v);
     if (d == 0) continue;
@@ -46,8 +49,7 @@ void mean_aggregate(const GnnGraph& g, const Matrix& x, Matrix& out) {
 
 void mean_aggregate_backward(const GnnGraph& g, const Matrix& dout,
                              Matrix& dx) {
-  if (dx.rows() != dout.rows() || dx.cols() != dout.cols())
-    dx = Matrix(dout.rows(), dout.cols());
+  assert(dx.rows() == dout.rows() && dx.cols() == dout.cols());
   for (std::size_t v = 0; v < g.num_nodes; ++v) {
     const std::size_t d = g.degree(v);
     if (d == 0) continue;
@@ -68,36 +70,46 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng) {
   bias_.init_zero(1, out_dim);
 }
 
-Matrix SageLayer::forward(const GnnGraph& g, const Matrix& x) {
-  x_cache_ = x;
-  mean_aggregate(g, x, hn_cache_);
-  Matrix z;
-  matmul(x, w_self_.value, z);
-  Matrix zn;
-  matmul(hn_cache_, w_neigh_.value, zn);
-  add_inplace(z, zn);
-  add_bias(z, bias_.value.data());
-  relu_forward(z, relu_mask_);
-  return z;
+SageBuffers SageLayer::buffers(std::size_t num_nodes, bool backward) const {
+  const std::size_t in = w_self_.value.rows();
+  const std::size_t out = w_self_.value.cols();
+  SageBuffers b;
+  b.hn = Matrix(num_nodes, in);
+  b.h = Matrix(num_nodes, out);
+  if (backward) {
+    b.dz = Matrix(num_nodes, out);
+    b.g_self = Matrix(in, out);
+    b.g_neigh = Matrix(in, out);
+    b.wt = Matrix(out, in);
+  }
+  return b;
 }
 
-Matrix SageLayer::backward(const GnnGraph& g, const Matrix& dout) {
-  Matrix dz = dout;
-  relu_backward(dz, relu_mask_);
+void SageLayer::forward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
+                        Matrix& zn) const {
+  mean_aggregate(g, x, b.hn);
+  matmul(x, w_self_.value, b.h);
+  matmul(b.hn, w_neigh_.value, zn);
+  add_inplace(b.h, zn);
+  add_bias(b.h, bias_.value.data());
+  relu_forward(b.h);
+}
 
-  Matrix gw;
-  matmul_at_b(x_cache_, dz, gw);
-  add_inplace(w_self_.grad, gw);
-  matmul_at_b(hn_cache_, dz, gw);
-  add_inplace(w_neigh_.grad, gw);
-  add_column_sums(bias_.grad, dz);
+void SageLayer::backward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
+                         Matrix* dx, Matrix& dhn) const {
+  relu_backward(b.dz, b.h);
+  matmul_at_b(x, b.dz, b.g_self);
+  matmul_at_b(b.hn, b.dz, b.g_neigh);
+  if (dx == nullptr) return;
+  matmul_a_bt(b.dz, w_self_.value, b.wt, *dx);
+  matmul_a_bt(b.dz, w_neigh_.value, b.wt, dhn);
+  mean_aggregate_backward(g, dhn, *dx);
+}
 
-  Matrix dx;
-  matmul_a_bt(dz, w_self_.value, dx);
-  Matrix dhn;
-  matmul_a_bt(dz, w_neigh_.value, dhn);
-  mean_aggregate_backward(g, dhn, dx);
-  return dx;
+void SageLayer::accumulate(const SageBuffers& b) {
+  add_inplace(w_self_.grad, b.g_self);
+  add_inplace(w_neigh_.grad, b.g_neigh);
+  add_column_sums(bias_.grad, b.dz);
 }
 
 // ------------------------------------------------------------ DenseLayer
@@ -107,22 +119,32 @@ DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng) {
   bias_.init_zero(1, out_dim);
 }
 
-Matrix DenseLayer::forward(const Matrix& x) {
-  x_cache_ = x;
-  Matrix z;
-  matmul(x, w_.value, z);
-  add_bias(z, bias_.value.data());
-  return z;
+DenseBuffers DenseLayer::buffers(std::size_t num_nodes, bool backward) const {
+  const std::size_t in = w_.value.rows();
+  const std::size_t out = w_.value.cols();
+  DenseBuffers b;
+  b.z = Matrix(num_nodes, out);
+  if (backward) {
+    b.dz = Matrix(num_nodes, out);
+    b.g_w = Matrix(in, out);
+    b.wt = Matrix(out, in);
+  }
+  return b;
 }
 
-Matrix DenseLayer::backward(const Matrix& dout) {
-  Matrix gw;
-  matmul_at_b(x_cache_, dout, gw);
-  add_inplace(w_.grad, gw);
-  add_column_sums(bias_.grad, dout);
-  Matrix dx;
-  matmul_a_bt(dout, w_.value, dx);
-  return dx;
+void DenseLayer::forward(const Matrix& x, DenseBuffers& b) const {
+  matmul(x, w_.value, b.z);
+  add_bias(b.z, bias_.value.data());
+}
+
+void DenseLayer::backward(const Matrix& x, DenseBuffers& b, Matrix* dx) const {
+  matmul_at_b(x, b.dz, b.g_w);
+  if (dx != nullptr) matmul_a_bt(b.dz, w_.value, b.wt, *dx);
+}
+
+void DenseLayer::accumulate(const DenseBuffers& b) {
+  add_inplace(w_.grad, b.g_w);
+  add_column_sums(bias_.grad, b.dz);
 }
 
 }  // namespace tmm

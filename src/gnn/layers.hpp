@@ -50,16 +50,38 @@ struct Param {
   void zero_grad() { grad.fill(0.0f); }
 };
 
+/// One SageLayer's buffers in a pass over a graph of n nodes
+/// (GnnWorkspace). The gradient buffers are empty in inference passes.
+struct SageBuffers {
+  Matrix hn;       ///< mean of the layer input over neighbors (n x in)
+  Matrix h;        ///< ReLU output (n x out)
+  Matrix dz;       ///< dL/d pre-activation (n x out): the bias gradient rows
+  Matrix g_self;   ///< this pass's W_self gradient (in x out)
+  Matrix g_neigh;  ///< this pass's W_neigh gradient (in x out)
+  Matrix wt;       ///< scratch for a transposed weight (out x in)
+};
+
 /// GraphSAGE layer (mean aggregator):
 ///   h_v = relu(W_self * x_v + W_neigh * mean(x_u) + b)   (Eq. 3-4 with
 /// CONCAT expressed as two weight blocks).
+/// Passes are const and write only their buffers, so passes over
+/// different samples may run concurrently.
 class SageLayer {
  public:
   SageLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  Matrix forward(const GnnGraph& g, const Matrix& x);
-  /// Returns gradient w.r.t. the layer input; accumulates param grads.
-  Matrix backward(const GnnGraph& g, const Matrix& dout);
+  SageBuffers buffers(std::size_t num_nodes, bool backward) const;
+
+  /// Fills b.hn and b.h; `zn` (n x out) is scratch.
+  void forward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
+               Matrix& zn) const;
+  /// On entry b.dz holds dL/dh, on return dL/d pre-activation; fills
+  /// b.g_self and b.g_neigh. When `dx` is non-null it receives dL/dx,
+  /// with `dhn` (n x in) as scratch.
+  void backward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
+                Matrix* dx, Matrix& dhn) const;
+  /// Adds a pass's gradients to the parameter accumulators.
+  void accumulate(const SageBuffers& b);
 
   std::vector<Param*> params() { return {&w_self_, &w_neigh_, &bias_}; }
 
@@ -67,10 +89,14 @@ class SageLayer {
   Param w_self_;   // in x out
   Param w_neigh_;  // in x out
   Param bias_;     // 1 x out
-  // forward caches
-  Matrix x_cache_;
-  Matrix hn_cache_;
-  Matrix relu_mask_;
+};
+
+/// The dense head's buffers in a pass over a graph of n nodes.
+struct DenseBuffers {
+  Matrix z;    ///< output (n x out): the logits
+  Matrix dz;   ///< dL/dz (n x out), set by the loss: the bias gradient rows
+  Matrix g_w;  ///< this pass's W gradient (in x out)
+  Matrix wt;   ///< scratch for the transposed weight (out x in)
 };
 
 /// Dense head: logits = x * W + b.
@@ -78,15 +104,18 @@ class DenseLayer {
  public:
   DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  Matrix forward(const Matrix& x);
-  Matrix backward(const Matrix& dout);
+  DenseBuffers buffers(std::size_t num_nodes, bool backward) const;
+
+  void forward(const Matrix& x, DenseBuffers& b) const;
+  /// Fills b.g_w from b.dz; when `dx` is non-null it receives dL/dx.
+  void backward(const Matrix& x, DenseBuffers& b, Matrix* dx) const;
+  void accumulate(const DenseBuffers& b);
 
   std::vector<Param*> params() { return {&w_, &bias_}; }
 
  private:
   Param w_;
   Param bias_;
-  Matrix x_cache_;
 };
 
 }  // namespace tmm

@@ -14,7 +14,8 @@ Matrix Matrix::glorot(std::size_t rows, std::size_t cols, Rng& rng) {
 
 void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
-  out = Matrix(a.rows(), b.cols());
+  assert(out.rows() == a.rows() && out.cols() == b.cols());
+  out.fill(0.0f);
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
@@ -31,7 +32,8 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
 
 void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.rows() == b.rows());
-  out = Matrix(a.cols(), b.cols());
+  assert(out.rows() == a.cols() && out.cols() == b.cols());
+  out.fill(0.0f);
   for (std::size_t p = 0; p < a.rows(); ++p) {
     const auto arow = a.row(p);
     const auto brow = b.row(p);
@@ -44,16 +46,20 @@ void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
+void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& bt, Matrix& out) {
   assert(a.cols() == b.cols());
-  out = Matrix(a.rows(), b.rows());
+  assert(bt.rows() == b.cols() && bt.cols() == b.rows());
+  assert(out.rows() == a.rows() && out.cols() == b.rows());
+  for (std::size_t j = 0; j < b.rows(); ++j)
+    for (std::size_t p = 0; p < b.cols(); ++p) bt(p, j) = b(j, p);
+  out.fill(0.0f);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const auto arow = a.row(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const auto brow = b.row(j);
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < a.cols(); ++p) acc += arow[p] * brow[p];
-      out(i, j) = acc;
+    auto orow = out.row(i);
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float av = arow[p];
+      const auto btrow = bt.row(p);
+      for (std::size_t j = 0; j < orow.size(); ++j) orow[j] += av * btrow[j];
     }
   }
 }
@@ -82,23 +88,17 @@ void add_column_sums(Matrix& grad_row, const Matrix& dz) {
   }
 }
 
-void relu_forward(Matrix& x, Matrix& mask) {
-  mask = Matrix(x.rows(), x.cols());
-  auto xd = x.data();
-  auto md = mask.data();
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    if (xd[i] > 0.0f) {
-      md[i] = 1.0f;
-    } else {
-      xd[i] = 0.0f;
-    }
-  }
+void relu_forward(Matrix& x) {
+  for (float& v : x.data())
+    if (!(v > 0.0f)) v = 0.0f;
 }
 
-void relu_backward(Matrix& grad, const Matrix& mask) {
+void relu_backward(Matrix& grad, const Matrix& h) {
+  assert(grad.size() == h.size());
   auto gd = grad.data();
-  auto md = mask.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) gd[i] *= md[i];
+  auto hd = h.data();
+  for (std::size_t i = 0; i < gd.size(); ++i)
+    gd[i] *= hd[i] > 0.0f ? 1.0f : 0.0f;
 }
 
 float sigmoidf(float x) {

@@ -46,12 +46,20 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = a * b   (a: m x k, b: k x n, out: m x n)
+// Every kernel writes into an output the caller has already sized (a
+// pass reuses its buffers, so kernels never allocate); an output a
+// kernel overwrites starts at 0.0f and accumulates in ascending `p`.
+
+/// out = a * b   (a: m x k, b: k x n, out: m x n). Skips zero `a`
+/// entries.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
-/// out = a^T * b (a: k x m, b: k x n, out: m x n)
+/// out = a^T * b (a: k x m, b: k x n, out: m x n). Skips zero `a`
+/// entries.
 void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out);
-/// out = a * b^T (a: m x k, b: n x k, out: m x n)
-void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out);
+/// out = a * b^T (a: m x k, b: n x k, out: m x n). `bt` (k x n)
+/// receives b^T so each output row accumulates lane by lane; every
+/// element adds a(i, p) * b(j, p) in ascending p, no zero skip.
+void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& bt, Matrix& out);
 
 /// y += x (same shape).
 void add_inplace(Matrix& y, const Matrix& x);
@@ -61,10 +69,12 @@ void add_bias(Matrix& y, std::span<const float> bias);
 /// order: the bias gradient of a layer with output gradient dz.
 void add_column_sums(Matrix& grad_row, const Matrix& dz);
 
-/// Elementwise ReLU forward; `mask` records activation for backward.
-void relu_forward(Matrix& x, Matrix& mask);
-/// grad *= mask.
-void relu_backward(Matrix& grad, const Matrix& mask);
+/// Elementwise ReLU in place: every entry not > 0 (NaN included)
+/// becomes +0.
+void relu_forward(Matrix& x);
+/// grad *= (h > 0 ? 1 : 0), with h the ReLU output: the sign of a zero
+/// gradient and NaN payloads pass through as a multiply leaves them.
+void relu_backward(Matrix& grad, const Matrix& h);
 
 /// Numerically stable logistic sigmoid.
 float sigmoidf(float x);

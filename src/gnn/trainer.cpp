@@ -1,13 +1,17 @@
 #include "gnn/trainer.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/instrument.hpp"
 #include "util/log.hpp"
+#include "util/task_pool.hpp"
 
 namespace tmm {
 
@@ -24,12 +28,27 @@ obs::Histogram& g_epoch_hist =
 // Smallest loss improvement that resets the early-stopping count.
 constexpr double kMinDelta = 1e-5;
 
+void check_sample(const GnnModel& model, const GraphSample& s,
+                  std::size_t index) {
+  const std::size_t n = s.graph.num_nodes;
+  std::string err = model.input_mismatch(s.graph, s.features);
+  if (err.empty() &&
+      (s.labels.size() != n || (!s.mask.empty() && s.mask.size() != n)))
+    err = std::to_string(s.labels.size()) + " labels and " +
+          std::to_string(s.mask.size()) + " mask entries for " +
+          std::to_string(n) + " nodes";
+  if (!err.empty())
+    throw fault::FlowError(fault::ErrorCode::kConfig, "gnn.train",
+                           "sample " + std::to_string(index) + ": " + err);
+}
+
 }  // namespace
 
 double bce_with_logits(const Matrix& logits, std::span<const float> labels,
                        std::span<const unsigned char> mask, float pos_weight,
                        Matrix& dlogits) {
-  dlogits = Matrix(logits.rows(), logits.cols());
+  assert(dlogits.rows() == logits.rows() && dlogits.cols() == logits.cols());
+  dlogits.fill(0.0f);
   double loss = 0.0;
   double weight_sum = 0.0;
   const std::size_t n = logits.rows();
@@ -55,7 +74,8 @@ double bce_with_logits(const Matrix& logits, std::span<const float> labels,
 double mse_on_sigmoid(const Matrix& logits, std::span<const float> targets,
                       std::span<const unsigned char> mask, float pos_weight,
                       Matrix& dlogits) {
-  dlogits = Matrix(logits.rows(), logits.cols());
+  assert(dlogits.rows() == logits.rows() && dlogits.cols() == logits.cols());
+  dlogits.fill(0.0f);
   double loss = 0.0;
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < logits.rows(); ++i) {
@@ -81,6 +101,8 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
                         const TrainConfig& cfg) {
   TrainReport report;
   Stopwatch sw;
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    check_sample(model, samples[i], i);
 
   std::size_t pos = 0;
   std::size_t neg = 0;
@@ -96,21 +118,49 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
 
   obs::Span train_span("gnn.train");
 
+  // Everything the passes write is allocated here, on this thread, so
+  // the workers never call malloc (docs/PERFORMANCE.md, "GNN training").
+  std::vector<GnnWorkspace> ws;
+  ws.reserve(samples.size());
+  for (const auto& s : samples)
+    ws.push_back(model.workspace(s.graph.num_nodes, true));
+  std::vector<double> losses(samples.size());
+  const std::size_t threads = std::min(
+      cfg.threads == 0 ? util::TaskPool::default_threads() : cfg.threads,
+      std::max<std::size_t>(1, samples.size()));
+  const GnnModel& frozen = model;  // the passes only read the weights
+  auto run_passes = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const GraphSample& s = samples[i];
+      GnnWorkspace& w = ws[i];
+      frozen.forward(s.graph, s.features, w);
+      losses[i] =
+          cfg.loss == LossKind::kBinaryCrossEntropy
+              ? bce_with_logits(w.head.z, s.labels, s.mask, pos_weight,
+                                w.head.dz)
+              : mse_on_sigmoid(w.head.z, s.labels, s.mask, pos_weight,
+                               w.head.dz);
+      frozen.backward(s.graph, s.features, w);
+    }
+  };
+
   Adam opt(model.params(), cfg.lr);
   double best_loss = std::numeric_limits<double>::infinity();
   std::size_t stall = 0;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     obs::Span epoch_span("gnn.epoch");
     Stopwatch epoch_sw;
+    if (threads == 1)
+      run_passes(0, samples.size());
+    else
+      util::TaskPool::shared().parallel_for(samples.size(), 1, threads,
+                                            run_passes);
+    // The ordered reduction: gradients and losses add in sample order,
+    // as a serial loop would add them.
     double epoch_loss = 0.0;
-    for (const auto& s : samples) {
-      Matrix logits = model.forward(s.graph, s.features);
-      Matrix dlogits;
-      epoch_loss +=
-          cfg.loss == LossKind::kBinaryCrossEntropy
-              ? bce_with_logits(logits, s.labels, s.mask, pos_weight, dlogits)
-              : mse_on_sigmoid(logits, s.labels, s.mask, pos_weight, dlogits);
-      model.backward(s.graph, dlogits);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      model.accumulate(ws[i]);
+      epoch_loss += losses[i];
     }
     opt.step();
     epoch_loss /= static_cast<double>(std::max<std::size_t>(1, samples.size()));
@@ -143,8 +193,9 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
   }
 
   // Aggregate training confusion at threshold 0.5.
-  for (const auto& s : samples) {
-    const auto probs = model.predict(s.graph, s.features);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const GraphSample& s = samples[i];
+    const auto probs = model.predict(s.graph, s.features, ws[i]);
     const Confusion c = confusion_matrix(probs, s.labels, s.mask);
     report.train_confusion.tp += c.tp;
     report.train_confusion.fp += c.fp;

@@ -58,6 +58,16 @@ cmp "$DIR/block.macro" "$DIR/block_again.macro"
 "$TMM" train "$DIR/mr.gnn" "$DIR/t1.dsn" --regression
 "$TMM" generate "$DIR/mr.gnn" "$DIR/block.dsn" "$DIR/block2.macro" --regression
 "$TMM" evaluate "$DIR/block.dsn" "$DIR/block2.macro" --no-cppr
+# A model trained without the is_CPPR feature reads 8 features per pin;
+# a CPPR-mode flow extracts 9. Applying it is a configuration error
+# (exit 2) that writes nothing; with --no-cppr it fits.
+"$TMM" train "$DIR/mn.gnn" "$DIR/t1.dsn" --no-cppr
+head -n 1 "$DIR/mn.gnn" | grep -q '^gnn 8 '
+expect_rc 2 "$TMM" generate "$DIR/mn.gnn" "$DIR/block.dsn" \
+  "$DIR/narrow.macro" 2> "$DIR/err_width.txt"
+grep -q 'reads 8 features per pin, this flow extracts 9' "$DIR/err_width.txt"
+test ! -e "$DIR/narrow.macro"
+"$TMM" generate "$DIR/mn.gnn" "$DIR/block.dsn" "$DIR/narrow.macro" --no-cppr
 "$TMM" export-lib "$DIR/cells.lib"
 "$TMM" export-lib "$DIR/cells_early.lib" --early
 test -s "$DIR/cells.lib"

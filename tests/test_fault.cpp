@@ -479,6 +479,24 @@ TEST(Resume, InterruptedTrainResumesBitIdentically) {
   EXPECT_EQ(model_bytes(again), ref_bytes);
 }
 
+// A checkpointed model of another input width (a hand-swapped
+// model.gnn) must not be applied to this flow's features.
+TEST(Resume, CheckpointModelOfTheWrongWidthIsAConfigError) {
+  const DisarmGuard guard;
+  const std::vector<Design> designs = {test::make_tiny_design("rw", 47)};
+  const TempDir dir;
+  FlowConfig cfg = tiny_train_config();
+  cfg.checkpoint_dir = dir.str();
+  static_cast<void>(Framework(cfg).train(designs));
+  GnnModelConfig narrow;
+  narrow.input_dim = kNumBasicFeatures;  // the flow extracts 9
+  save_gnn_file(GnnModel(narrow), dir.str("model.gnn"));
+  Framework resumed(cfg);
+  EXPECT_EQ(code_of([&] { static_cast<void>(resumed.train(designs)); }),
+            fault::ErrorCode::kConfig);
+  EXPECT_FALSE(resumed.trained());
+}
+
 TEST(Resume, RegressionModeResumesBitIdentically) {
   // The regression transform rescales labels from raw TS values; resume
   // must reproduce ts_scale exactly from the hexfloat checkpoints.

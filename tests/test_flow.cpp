@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "fault/fault.hpp"
 #include "flow/framework.hpp"
 #include "obs/trace.hpp"
 #include "test_helpers.hpp"
@@ -193,6 +196,54 @@ TEST_F(FlowTest, CpprOffModeWorks) {
   const DesignResult r = fw.run_design(d);
   EXPECT_EQ(r.acc.structural_mismatches, 0u);
   EXPECT_LT(r.acc.max_err_ps, 5.0);
+}
+
+std::string saved_model(Framework& fw) {
+  std::ostringstream os;
+  fw.model().save(os);
+  return os.str();
+}
+
+// GNN training runs one sample per task at FlowConfig::threads; the
+// .gnn bytes must not depend on it.
+TEST(FlowThreads, TrainWritesTheSameModelAtAnyThreadCount) {
+  std::vector<Design> designs;
+  designs.push_back(test::make_tiny_design("p0", 60));
+  designs.push_back(test::make_small_design("p1", 61));
+  designs.push_back(test::make_tiny_design("p2", 62));
+  std::string want;
+  for (const std::size_t threads : {1, 4}) {
+    FlowConfig cfg;
+    cfg.data.ts.num_constraint_sets = 1;
+    cfg.train.epochs = 30;
+    cfg.threads = threads;
+    Framework fw(cfg);
+    EXPECT_EQ(fw.config().train.threads, threads);
+    static_cast<void>(fw.train(designs));
+    if (threads == 1)
+      want = saved_model(fw);
+    else
+      EXPECT_EQ(saved_model(fw), want);
+  }
+}
+
+// A model reads exactly the flow's feature count: 9 with the is_CPPR
+// feature, 8 without. Anything else is a configuration error, not an
+// out-of-bounds weight read.
+TEST(FlowModel, SetModelRefusesAMismatchedInputWidth) {
+  for (const bool cppr_feature : {true, false}) {
+    FlowConfig cfg;
+    cfg.cppr_feature = cppr_feature;
+    Framework fw(cfg);
+    GnnModelConfig mcfg;
+    mcfg.input_dim = cppr_feature ? kNumBasicFeatures : kNumFeaturesWithCppr;
+    EXPECT_EQ(test::code_of([&] { fw.set_model(GnnModel(mcfg)); }),
+              fault::ErrorCode::kConfig);
+    EXPECT_FALSE(fw.trained());
+    mcfg.input_dim = cppr_feature ? kNumFeaturesWithCppr : kNumBasicFeatures;
+    fw.set_model(GnnModel(mcfg));
+    EXPECT_TRUE(fw.trained());
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "fault/fault.hpp"
 #include "gnn/features.hpp"
 #include "gnn/metrics.hpp"
 #include "gnn/trainer.hpp"
@@ -32,7 +33,7 @@ TEST(Tensor, MatmulAgainstManual) {
   int k = 1;
   for (auto& v : a.data()) v = static_cast<float>(k++);
   for (auto& v : b.data()) v = static_cast<float>(k++);
-  Matrix c;
+  Matrix c(2, 2);
   matmul(a, b, c);
   // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12]
   EXPECT_FLOAT_EQ(c(0, 0), 1 * 7 + 2 * 9 + 3 * 11);
@@ -47,16 +48,30 @@ TEST(Tensor, TransposedMatmulsConsistent) {
   Matrix b(4, 5);
   for (auto& v : a.data()) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto& v : b.data()) v = static_cast<float>(rng.uniform(-1, 1));
-  Matrix atb;
-  matmul_at_b(a, b, atb);  // 3 x 5
+  Matrix atb(3, 5);
+  matmul_at_b(a, b, atb);
   // Compare against explicit transpose.
   Matrix at(3, 4);
   for (std::size_t i = 0; i < 4; ++i)
     for (std::size_t j = 0; j < 3; ++j) at(j, i) = a(i, j);
-  Matrix ref;
+  Matrix ref(3, 5);
   matmul(at, b, ref);
   for (std::size_t i = 0; i < atb.size(); ++i)
     EXPECT_NEAR(atb.data()[i], ref.data()[i], 1e-5);
+  // a * b^T, lane by lane over the transposed b, adds each element in
+  // the order of a plain dot product: the same bits.
+  Matrix c(5, 3);
+  for (auto& v : c.data()) v = static_cast<float>(rng.uniform(-1, 1));
+  Matrix bt(3, 4);
+  Matrix abt(5, 4);
+  matmul_a_bt(c, a, bt, abt);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      float dot = 0.0f;
+      for (std::size_t p = 0; p < 3; ++p) dot += c(i, p) * a(j, p);
+      EXPECT_EQ(abt(i, j), dot);
+    }
+  }
   // Bias gradient: the column sums of b add onto the row in ascending
   // row order, so they match that loop bit for bit.
   Matrix grad_row(1, 5, 1.0f);
@@ -81,24 +96,27 @@ TEST(Tensor, ReluForwardBackward) {
   x(0, 1) = 2;
   x(0, 2) = 0;
   x(0, 3) = 5;
-  Matrix mask;
-  relu_forward(x, mask);
+  relu_forward(x);
   EXPECT_FLOAT_EQ(x(0, 0), 0);
   EXPECT_FLOAT_EQ(x(0, 1), 2);
   EXPECT_FLOAT_EQ(x(0, 3), 5);
   Matrix g(1, 4, 1.0f);
-  relu_backward(g, mask);
+  g(0, 2) = -1.0f;
+  relu_backward(g, x);
   EXPECT_FLOAT_EQ(g(0, 0), 0);
   EXPECT_FLOAT_EQ(g(0, 1), 1);
   EXPECT_FLOAT_EQ(g(0, 2), 0);
   EXPECT_FLOAT_EQ(g(0, 3), 1);
+  // The gate multiplies: a negative gradient behind a closed unit
+  // keeps its sign bit, as it did with a stored 0/1 mask.
+  EXPECT_TRUE(std::signbit(g(0, 2)));
 }
 
 TEST(Aggregate, MeanOverNeighbors) {
   const GnnGraph g = ring_graph(4);
   Matrix x(4, 1);
   for (std::size_t v = 0; v < 4; ++v) x(v, 0) = static_cast<float>(v);
-  Matrix out;
+  Matrix out(4, 1);
   mean_aggregate(g, x, out);
   EXPECT_FLOAT_EQ(out(0, 0), (3 + 1) / 2.0f);
   EXPECT_FLOAT_EQ(out(1, 0), (0 + 2) / 2.0f);
@@ -121,20 +139,17 @@ TEST(GradCheck, ModelGradientsMatchFiniteDifferences) {
   std::vector<float> labels{1, 0, 1, 0, 0, 1};
   std::vector<unsigned char> mask(6, 1);
 
+  GnnWorkspace ws = model.workspace(6, true);
   auto loss_fn = [&]() {
-    Matrix logits = model.forward(g, x);
-    Matrix dl;
-    return bce_with_logits(logits, labels, mask, 2.0f, dl);
+    model.forward(g, x, ws);
+    return bce_with_logits(ws.head.z, labels, mask, 2.0f, ws.head.dz);
   };
 
   // Analytic gradients.
-  {
-    Matrix logits = model.forward(g, x);
-    Matrix dl;
-    bce_with_logits(logits, labels, mask, 2.0f, dl);
-    for (Param* p : model.params()) p->zero_grad();
-    model.backward(g, dl);
-  }
+  loss_fn();
+  model.backward(g, x, ws);
+  for (Param* p : model.params()) p->zero_grad();
+  model.accumulate(ws);
 
   // Finite differences cross ReLU kinks at finite epsilon, so individual
   // elements may disagree; a real backprop bug breaks nearly all of
@@ -321,22 +336,25 @@ std::vector<GraphSample> golden_samples() {
   return out;
 }
 
+std::string saved(const GnnModel& model) {
+  std::ostringstream os;
+  model.save(os);
+  return os.str();
+}
+
 // FNV-1a and length of the saved weights: a change to the init draw
-// order, a kernel's accumulation order or the Adam update moves them.
+// order, a kernel's accumulation order, the gradient reduction or the
+// Adam update moves them. The thread count must not.
 TEST(GnnGolden, TrainedWeights) {
   GnnModelConfig cfg;
   cfg.input_dim = kNumFeaturesWithCppr;
-  const auto saved = [](const GnnModel& model) {
-    std::ostringstream os;
-    model.save(os);
-    return os.str();
-  };
   const std::vector<GraphSample> samples = golden_samples();
-  const auto trained = [&](LossKind loss) {
+  const auto trained = [&](LossKind loss, std::size_t threads) {
     GnnModel model(cfg);
     TrainConfig tc;
     tc.epochs = 20;
     tc.loss = loss;
+    tc.threads = threads;
     static_cast<void>(train_model(model, samples, tc));
     return saved(model);
   };
@@ -346,10 +364,127 @@ TEST(GnnGolden, TrainedWeights) {
     EXPECT_EQ(test::fnv1a(text), hash);
   };
   expect_bytes(saved(GnnModel(cfg)), 16106141905165079343ull, 34044);
-  expect_bytes(trained(LossKind::kBinaryCrossEntropy), 17888800682079501575ull,
-               34669);
-  expect_bytes(trained(LossKind::kMeanSquaredError), 5225497817754010591ull,
-               34707);
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_bytes(trained(LossKind::kBinaryCrossEntropy, threads),
+                 17888800682079501575ull, 34669);
+    expect_bytes(trained(LossKind::kMeanSquaredError, threads),
+                 5225497817754010591ull, 34707);
+  }
+}
+
+/// `n` nodes on a path plus seeded chords, seeded features (some zero)
+/// and {0,1} labels; `masked` hides every node from the loss.
+GraphSample uneven_sample(std::size_t n, std::uint64_t seed, bool masked) {
+  Rng rng(seed);
+  GraphSample s;
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  const auto link = [&](std::size_t u, std::size_t v) {
+    adj[u].push_back(static_cast<std::uint32_t>(v));
+    adj[v].push_back(static_cast<std::uint32_t>(u));
+  };
+  for (std::size_t v = 0; v + 1 < n; ++v) link(v, v + 1);
+  for (std::size_t k = 0; k < n / 3; ++k)
+    link(rng.below(n), rng.below(n));
+  s.graph.num_nodes = n;
+  s.graph.offsets.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    s.graph.offsets[v + 1] =
+        s.graph.offsets[v] + static_cast<std::uint32_t>(adj[v].size());
+    s.graph.neighbors.insert(s.graph.neighbors.end(), adj[v].begin(),
+                             adj[v].end());
+  }
+  s.features = Matrix(n, 5);
+  for (float& v : s.features.data())
+    v = rng.chance(0.3) ? 0.0f : static_cast<float>(rng.uniform(-1, 1));
+  s.labels.resize(n);
+  for (float& y : s.labels) y = rng.chance(0.3) ? 1.0f : 0.0f;
+  s.mask.assign(n, masked ? 0 : 1);
+  return s;
+}
+
+// Six samples of uneven size, one fully masked: every thread count
+// trains the same bytes and reports the same loss, epochs and
+// confusion as one thread.
+TEST(GnnParallel, ThreadInvariant) {
+  std::vector<GraphSample> samples;
+  const std::size_t sizes[] = {120, 7, 310, 45, 1, 64};
+  for (std::size_t i = 0; i < 6; ++i)
+    samples.push_back(uneven_sample(sizes[i], 100 + i, i == 3));
+  GnnModelConfig cfg;
+  cfg.input_dim = 5;
+  cfg.hidden_dim = 12;
+  for (const LossKind loss :
+       {LossKind::kBinaryCrossEntropy, LossKind::kMeanSquaredError}) {
+    std::string want_bytes;
+    TrainReport want;
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      GnnModel model(cfg);
+      TrainConfig tc;
+      tc.epochs = 30;
+      tc.loss = loss;
+      tc.threads = threads;
+      const TrainReport rep = train_model(model, samples, tc);
+      if (threads == 1) {
+        want_bytes = saved(model);
+        want = rep;
+        EXPECT_EQ(rep.epochs_run, 30u);
+        continue;
+      }
+      EXPECT_EQ(saved(model), want_bytes);
+      EXPECT_EQ(rep.final_loss, want.final_loss);
+      EXPECT_EQ(rep.epochs_run, want.epochs_run);
+      EXPECT_EQ(rep.train_confusion.tp, want.train_confusion.tp);
+      EXPECT_EQ(rep.train_confusion.fp, want.train_confusion.fp);
+      EXPECT_EQ(rep.train_confusion.tn, want.train_confusion.tn);
+      EXPECT_EQ(rep.train_confusion.fn, want.train_confusion.fn);
+    }
+  }
+}
+
+// A sample that does not fit the model is refused before any pass
+// runs, with a kConfig error naming the sample.
+TEST(GnnParallel, MismatchedSampleIsAConfigError) {
+  GnnModelConfig cfg;
+  cfg.input_dim = 5;
+  const auto refused = [&](const GraphSample& bad) {
+    std::vector<GraphSample> samples{uneven_sample(20, 1, false), bad};
+    GnnModel model(cfg);
+    const std::string before = saved(model);
+    TrainConfig tc;
+    tc.threads = 2;
+    try {
+      static_cast<void>(train_model(model, samples, tc));
+    } catch (const fault::FlowError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kConfig);
+      EXPECT_NE(std::string(e.what()).find("sample 1"), std::string::npos)
+          << e.what();
+      EXPECT_EQ(saved(model), before);  // no epoch ran
+      return true;
+    }
+    return false;
+  };
+  GraphSample s = uneven_sample(30, 2, false);
+  s.features = Matrix(30, 4);  // one feature short
+  EXPECT_TRUE(refused(s));
+  s = uneven_sample(30, 2, false);
+  s.features = Matrix(29, 5);  // one node short
+  EXPECT_TRUE(refused(s));
+  s = uneven_sample(30, 2, false);
+  s.labels.pop_back();
+  EXPECT_TRUE(refused(s));
+  s = uneven_sample(30, 2, false);
+  s.mask.push_back(1);
+  EXPECT_TRUE(refused(s));
+  s = uneven_sample(30, 2, false);
+  s.mask.clear();  // no mask: every node counts
+  EXPECT_FALSE(refused(s));
+  // Inference checks the same shape.
+  const GraphSample ok = uneven_sample(30, 2, false);
+  EXPECT_THROW(static_cast<void>(GnnModel(cfg).predict(ok.graph,
+                                                       Matrix(30, 9))),
+               fault::FlowError);
 }
 
 TEST(GnnGraph, FromTimingGraphIsUndirected) {

@@ -213,7 +213,7 @@ TEST(RegressionMode, MseLossGradientsMatchFiniteDifferences) {
   logits(3, 0) = 0.0f;
   const std::vector<float> targets{0.9f, 0.0f, 0.4f, 0.1f};
   const std::vector<unsigned char> mask{1, 1, 1, 1};
-  Matrix grad;
+  Matrix grad(4, 1);
   mse_on_sigmoid(logits, targets, mask, 2.0f, grad);
   for (std::size_t i = 0; i < 4; ++i) {
     const float eps = 1e-3f;
@@ -221,7 +221,7 @@ TEST(RegressionMode, MseLossGradientsMatchFiniteDifferences) {
     lp(i, 0) += eps;
     Matrix lm = logits;
     lm(i, 0) -= eps;
-    Matrix dummy;
+    Matrix dummy(4, 1);
     const double up = mse_on_sigmoid(lp, targets, mask, 2.0f, dummy);
     const double dn = mse_on_sigmoid(lm, targets, mask, 2.0f, dummy);
     EXPECT_NEAR(grad(i, 0), (up - dn) / (2 * eps), 1e-4);

@@ -13,7 +13,9 @@
 #             graph / engine reuse is the racy-by-construction surface),
 #             the parallel STA + task-pool suites (levelized workers
 #             over the shared SoA store, tests/test_sta_parallel.cpp,
-#             plus the StaGolden fingerprints at 4 threads)
+#             plus the StaGolden fingerprints at 4 threads), the
+#             sample-parallel GNN training tests (GnnGolden weights at
+#             1/2/4 threads, GnnParallel thread invariance)
 #             and the serving-engine concurrency tests (shared registry
 #             + sharded cache + socket server, tests/test_serve.cpp).
 #   tidy      clang-tidy over src/ using the repo .clang-tidy config
@@ -72,14 +74,14 @@ run_sanitize() {
 }
 
 run_tsan() {
-  echo "== check: TSan (parallel STA + incremental TS loop + serving engine) =="
+  echo "== check: TSan (parallel STA + incremental TS loop + GNN training + serving engine) =="
   cmake -S "$ROOT" -B "$ROOT/build-check-tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTMM_WERROR=ON \
     -DTMM_SANITIZE=thread >/dev/null
   cmake --build "$ROOT/build-check-tsan" -j"$JOBS" --target tmm_tests
   TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-check-tsan/tests/tmm_tests" \
-    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
+    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:GnnGolden.*:GnnParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
 }
 
 run_tidy() {

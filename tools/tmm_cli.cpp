@@ -63,10 +63,12 @@
 //   tmm fault-sites           (list fault-injection sites; see
 //                  docs/ROBUSTNESS.md and the TMM_FAULT env variable)
 //
-// --threads N on the analysis commands caps the STA/TS worker count
-// (N >= 1); without it the count is automatic (TMM_THREADS when set,
-// else hardware concurrency). On `serve` it sets the request worker
-// count as before. Parallel analysis is bit-identical to serial
+// --threads N on the analysis commands caps the worker count of the
+// STA runs, the TS loop and GNN training (`train`, `flow`: one
+// training design per task) (N >= 1); without it the count is
+// automatic (TMM_THREADS when set, else hardware concurrency). On
+// `serve` it sets the request worker count as before. Parallel runs
+// are bit-identical to serial, .gnn weights included
 // (docs/PERFORMANCE.md).
 //
 // Exit codes: 0 success; 1 runtime failure; 2 configuration error
