@@ -5,11 +5,12 @@
 // ILM extraction, merging, .macro formatting and the incremental TS
 // evaluation loop.
 //
-// Besides the google-benchmark entries, main() directly times the TS
-// loop full vs incremental (`speedup_incremental`) and serial vs
-// parallel full STA on a large synthetic design (`speedup_parallel`,
-// with a bitwise serial/parallel comparison on the way) into the one
-// BENCH_micro.json (CI asserts both stay >= 1 and zero mismatches).
+// BM_SpeedupRecords times the TS loop full vs incremental
+// (`speedup_incremental`) and serial vs parallel full STA on a large
+// synthetic design (`speedup_parallel`, with a bitwise serial/parallel
+// comparison on the way) into the one BENCH_micro.json (CI runs it with
+// --benchmark_filter=SpeedupRecords and asserts both stay >= 1 and zero
+// mismatches).
 
 #include <benchmark/benchmark.h>
 
@@ -514,19 +515,20 @@ void record_parallel_speedup(bench::JsonReport& json) {
                    static_cast<double>(mismatches));
 }
 
+// Both records feed one report, written only when this benchmark runs:
+// JsonReport::write replaces the whole BENCH_micro.json, so a second
+// instance would clobber the first one's rows and summaries. Select it
+// alone with --benchmark_filter=SpeedupRecords.
+void BM_SpeedupRecords(benchmark::State& state) {
+  bench::JsonReport json("micro");
+  for (auto _ : state) {
+    record_ts_speedup(json);
+    record_parallel_speedup(json);
+  }
+  json.write();
+}
+BENCHMARK(BM_SpeedupRecords)->Unit(benchmark::kSecond)->Iterations(1);
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // Both recorders feed one report: JsonReport::write replaces the
-  // whole BENCH_micro.json, so a second instance would clobber the
-  // first one's rows and summaries.
-  bench::JsonReport json("micro");
-  record_ts_speedup(json);
-  record_parallel_speedup(json);
-  json.write();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -49,7 +49,6 @@ GraphSample gnn_input(const TimingGraph& ilm, bool cppr_feature) {
 Framework::Framework(FlowConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.data.ts.cppr = cfg_.cppr;
   cfg_.data.cppr_labels = cfg_.cppr;
-  cfg_.data.ts.aocv = cfg_.aocv;
   cfg_.data.ts.merge.aocv = cfg_.aocv;
   cfg_.merge.aocv = cfg_.aocv;
   cfg_.data.ts.threads = cfg_.threads;

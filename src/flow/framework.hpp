@@ -28,6 +28,12 @@
 
 namespace tmm {
 
+/// Settings of one flow. The Framework constructor derives six nested
+/// fields from top-level ones: `data.ts.cppr` and `data.cppr_labels`
+/// from `cppr`, `data.ts.merge.aocv` and `merge.aocv` from `aocv`, and
+/// `data.ts.threads` and `train.threads` from `threads`. Setting one of
+/// those nested fields directly has no effect; set the top-level one
+/// (one place per setting is an open ROADMAP item).
 struct FlowConfig {
   /// Timing mode: CPPR on (Tables 3-4) or off (Table 5).
   bool cppr = true;
@@ -80,7 +86,7 @@ struct FlowConfig {
   bool validate_stages = false;
 
   /// Worker threads for the compute-heavy stages: the TS labeling loop
-  /// (per-pin re-analyses fanned over workers), GNN training (one
+  /// (per-pin re-analyses fanned over the shared pool), GNN training (one
   /// sample's forward/backward pass per task, gradients added in sample
   /// order) and the full-design STA runs of accuracy evaluation
   /// (levelized parallel passes). All are bit-identical to serial —

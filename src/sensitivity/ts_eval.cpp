@@ -2,8 +2,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <memory>
-#include <thread>
+#include <optional>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -69,6 +68,27 @@ double snapshot_ts(const BoundarySnapshot& after,
   return (ds + da + dr + dk) / 4.0;
 }
 
+/// One worker's incremental state: a private copy of the ILM mutated in
+/// place through MergeDelta apply/undo, and one engine per constraint
+/// set whose reference checkpoint the incremental runs restore to —
+/// instead of a graph copy, a full merge and full propagations per pin.
+struct Scratch {
+  TimingGraph graph;
+  MergeDelta delta;
+  std::vector<Sta> engines;
+  BoundarySnapshot snap;  // reused: snapshot_into is allocation-free
+  Scratch(const TimingGraph& ilm, const Sta::Options& opt,
+          const std::vector<BoundaryConstraints>& sets)
+      : graph(ilm), delta(graph) {
+    engines.reserve(sets.size());
+    for (const auto& bc : sets) {
+      engines.emplace_back(graph, opt);
+      engines.back().run(bc);
+      engines.back().set_reference();
+    }
+  }
+};
+
 }  // namespace
 
 TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
@@ -83,11 +103,9 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
   Rng rng(cfg.seed);
   std::vector<BoundaryConstraints> sets;
   std::vector<BoundarySnapshot> refs;
-  Sta::Options sta_opt;
+  Sta::Options sta_opt;  // serial: parallelism here is across pins
   sta_opt.cppr = cfg.cppr;
-  sta_opt.aocv = cfg.aocv;
-  MergeConfig merge_cfg = cfg.merge;
-  merge_cfg.aocv = cfg.aocv;
+  sta_opt.aocv = cfg.merge.aocv;
   // Per-constraint-set isolation: a set whose reference run fails
   // (numeric corruption, injected fault) is dropped from the |C|
   // average with a diagnostic instead of killing the design. The RNG
@@ -116,20 +134,20 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
                                out.first_failure + ")");
 
   // Collect the evaluable pins, then fan the independent per-pin
-  // re-analyses out over worker threads (results are written to
+  // re-analyses out over the shared pool (results are written to
   // disjoint slots, so the outcome is deterministic for any count).
   std::vector<NodeId> work;
   for (NodeId n = 0; n < ilm.num_nodes(); ++n) {
     if (n >= candidates.size() || !candidates[n]) continue;
     if (ilm.node(n).dead) continue;
-    if (!mergeable(ilm, n, merge_cfg)) {
+    if (!mergeable(ilm, n, cfg.merge)) {
       ++out.skipped_unmergeable;
       continue;
     }
     work.push_back(n);
   }
 
-  const std::size_t threads =
+  const std::size_t slots =
       std::min(cfg.threads == 0 ? util::TaskPool::default_threads()
                                 : cfg.threads,
                std::max<std::size_t>(1, work.size()));
@@ -168,19 +186,55 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
              "full per-pin re-analysis path");
   span.set_arg("incremental", use_incremental ? 1.0 : 0.0);
 
+  // The two per-pin evaluators of Eq. 1; they agree bit for bit. The
+  // full one is the reference and the only one for ILMs with parallel
+  // duplicate arcs.
+  auto incremental_ts = [&](Scratch& s, NodeId n) {
+    // Refused by the merge legality/size rules: the full path would
+    // re-run timing on an unchanged graph and diff two identical
+    // snapshots — TS is exactly 0.
+    if (!s.delta.apply(n, cfg.merge)) return 0.0;
+    g_dirty_nodes.add(s.delta.touched().size());
+    double ts_sum = 0.0;
+    for (std::size_t c = 0; c < sets.size(); ++c) {
+      const StaIncrementalStats st =
+          s.engines[c].run_incremental(sets[c], s.delta.touched());
+      g_incremental_frontier.add(st.fwd_recomputed + st.bwd_recomputed);
+      s.engines[c].snapshot_into(s.snap);
+      ts_sum += snapshot_ts(s.snap, refs[c]);
+    }
+    s.delta.undo();
+    g_repropagations.add(sets.size());
+    return ts_sum / static_cast<double>(sets.size());
+  };
+  auto full_ts = [&](NodeId n) {
+    // Remove pin n exactly as macro generation would, on a copy.
+    TimingGraph g = ilm;
+    std::vector<bool> keep(ilm.num_nodes(), true);
+    keep[n] = false;
+    merge_insensitive_pins(g, keep, cfg.merge);
+    Sta sta(g, sta_opt);
+    double ts_sum = 0.0;
+    for (std::size_t c = 0; c < sets.size(); ++c) {
+      sta.run(sets[c]);
+      ts_sum += snapshot_ts(sta.boundary_snapshot(), refs[c]);
+    }
+    g_repropagations.add(sets.size());
+    return ts_sum / static_cast<double>(sets.size());
+  };
+
   // Per-pin isolation: an exception inside one pin's re-analysis
-  // (numeric guard, injected fault) marks that pin failed —
-  // conservatively fully sensitive, so it stays in the model — and the
-  // loop continues. Exceptions must never escape a worker thread.
-  std::atomic<std::size_t> failed{0};
+  // (numeric guard, injected fault, a failed scratch build) marks that
+  // pin failed — conservatively fully sensitive, so it stays in the
+  // model — and the loop continues. No exception leaves a pool chunk.
   static const util::lockorder::LockClass kFailureLockClass(
       "ts.failure_record");
   util::Mutex failure_mu(kFailureLockClass);
   auto record_failure = [&](NodeId n, const char* what) {
-    failed.fetch_add(1, std::memory_order_relaxed);
     g_pins_failed.add();
     out.ts[n] = kFailedPinTs;
     util::MutexLock lock(failure_mu);
+    ++out.failed_pins;
     if (out.first_failure.empty())
       out.first_failure =
           std::string("pin '") + ilm.node(n).name + "': " + what;
@@ -188,116 +242,36 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
              ilm.node(n).name.c_str(), what);
   };
 
-  auto worker = [&]() {
-    if (use_incremental) {
-      // One reusable scratch graph per worker, mutated in place through
-      // MergeDelta apply/undo, and one engine per constraint set whose
-      // reference checkpoint the incremental runs restore to — instead
-      // of a graph copy, a full merge and full propagations per pin.
-      // Bundled so the worker can rebuild from the pristine ILM after a
-      // failure mid-delta leaves the scratch state unknown.
-      struct Scratch {
-        TimingGraph graph;
-        MergeDelta delta;
-        std::vector<Sta> engines;
-        Scratch(const TimingGraph& ilm_graph, const Sta::Options& opt,
-                const std::vector<BoundaryConstraints>& bc_sets)
-            : graph(ilm_graph), delta(graph) {
-          engines.reserve(bc_sets.size());
-          for (const auto& bc : bc_sets) {
-            engines.emplace_back(graph, opt);
-            engines.back().run(bc);
-            engines.back().set_reference();
-          }
-        }
-      };
-      auto scratch = std::make_unique<Scratch>(ilm, sta_opt, sets);
-      BoundarySnapshot snap;  // reused: snapshot_into is allocation-free
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= work.size()) return;
-        const NodeId n = work[i];
-        try {
-          if (scratch == nullptr)
-            throw fault::FlowError(fault::ErrorCode::kUnavailable, "ts.eval",
-                                   "worker scratch state unrecoverable");
-          fault::inject("ts.eval_pin");
-          if (scratch->delta.apply(n, merge_cfg)) {
-            g_dirty_nodes.add(scratch->delta.touched().size());
-            double ts_sum = 0.0;
-            for (std::size_t c = 0; c < sets.size(); ++c) {
-              const StaIncrementalStats st = scratch->engines[c].run_incremental(
-                  sets[c], scratch->delta.touched());
-              g_incremental_frontier.add(st.fwd_recomputed +
-                                         st.bwd_recomputed);
-              scratch->engines[c].snapshot_into(snap);
-              ts_sum += snapshot_ts(snap, refs[c]);
-            }
-            scratch->delta.undo();
-            out.ts[n] = ts_sum / static_cast<double>(sets.size());
-            g_repropagations.add(sets.size());
-          } else {
-            // Refused by the merge legality/size rules: the full path
-            // would re-run timing on an unchanged graph and diff two
-            // identical snapshots — TS is exactly 0.
-            out.ts[n] = 0.0;
-          }
-        } catch (const std::exception& e) {
-          record_failure(n, e.what());
-          try {
-            scratch = std::make_unique<Scratch>(ilm, sta_opt, sets);
-          } catch (const std::exception& rebuild_err) {
-            // Rebuild itself failed: drain the remaining work as failed
-            // rather than crash the pool.
-            scratch = nullptr;
-            log_error("ts-eval: scratch rebuild failed: %s",
-                      rebuild_err.what());
-          }
-        }
-        g_pins_evaluated.add();
-        heartbeat(done.fetch_add(1, std::memory_order_relaxed) + 1);
-      }
-    }
-    std::vector<bool> keep(ilm.num_nodes(), true);
+  // One worker slot: claims pins until the work list is exhausted.
+  auto worker = [&](std::size_t, std::size_t) {
+    // Built on the slot's first pin and again after any failure, which
+    // may have left it mid-delta.
+    std::optional<Scratch> scratch;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= work.size()) return;
       const NodeId n = work[i];
       try {
         fault::inject("ts.eval_pin");
-        // Remove pin n exactly as macro generation would, on a scratch
-        // copy.
-        TimingGraph scratch = ilm;
-        keep[n] = false;
-        merge_insensitive_pins(scratch, keep, merge_cfg);
-        keep[n] = true;
-
-        Sta sta(scratch, sta_opt);
-        double ts_sum = 0.0;
-        for (std::size_t c = 0; c < sets.size(); ++c) {
-          sta.run(sets[c]);
-          ts_sum += snapshot_ts(sta.boundary_snapshot(), refs[c]);
+        if (use_incremental) {
+          if (!scratch) scratch.emplace(ilm, sta_opt, sets);
+          out.ts[n] = incremental_ts(*scratch, n);
+        } else {
+          out.ts[n] = full_ts(n);
         }
-        out.ts[n] = ts_sum / static_cast<double>(sets.size());
-        g_repropagations.add(sets.size());
       } catch (const std::exception& e) {
-        keep[n] = true;  // restore for the next iteration
+        scratch.reset();
         record_failure(n, e.what());
       }
       g_pins_evaluated.add();
       heartbeat(done.fetch_add(1, std::memory_order_relaxed) + 1);
     }
   };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  if (slots == 1)
+    worker(0, 1);  // inline: a serial run starts no pool workers
+  else
+    util::TaskPool::shared().parallel_for(slots, 1, slots, worker);
   out.evaluated_pins = work.size();
-  out.failed_pins = failed.load(std::memory_order_relaxed);
   span.set_arg("pins", static_cast<double>(out.evaluated_pins));
   obs::trace_rss_sample();
   return out;

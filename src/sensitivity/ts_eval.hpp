@@ -19,17 +19,21 @@ struct TsConfig {
   /// Number of random boundary-constraint sets (the |C| of Eq. 1).
   std::size_t num_constraint_sets = 3;
   ConstraintGenConfig constraint_gen;
+  /// Rules of the per-pin removal, as macro generation applies them.
+  /// `merge.aocv` is also the advanced timing mode under which
+  /// sensitivities are evaluated (the framework's generality lever: TS
+  /// adapts to the given delay model), so the STA derates and the
+  /// derates baked into merged arcs are one setting.
   MergeConfig merge;
   bool cppr = true;
-  /// Advanced timing mode under which sensitivities are evaluated (the
-  /// framework's generality lever: TS adapts to the given delay model).
-  AocvConfig aocv;
   std::uint64_t seed = 0x7153;
-  /// Worker threads for the per-pin evaluation loop (pins are
-  /// independent; results are deterministic regardless of the count).
-  /// 0 = auto: TMM_THREADS when set, else the hardware concurrency
-  /// (util::TaskPool::default_threads()). Each worker's scratch STA
-  /// engine is itself serial — parallelism here is across pins.
+  /// Worker slots for the per-pin evaluation loop, run on the shared
+  /// util::TaskPool (pins are independent; results are deterministic
+  /// regardless of the count). 0 = auto: TMM_THREADS when set, else the
+  /// hardware concurrency (util::TaskPool::default_threads()); a larger
+  /// request gets the pool's size, as for STA and GNN training. Each
+  /// slot's scratch STA engines are serial — parallelism here is across
+  /// pins.
   std::size_t threads = 1;
   /// Incremental per-pin path: one reusable scratch graph per worker
   /// (MergeDelta apply/undo) and worklist re-propagation over the dirty

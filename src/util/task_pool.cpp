@@ -31,7 +31,7 @@ TaskPool::TaskPool(std::size_t threads)
   const std::size_t workers = threads <= 1 ? 0 : threads - 1;
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
-    workers_.emplace_back([this] { worker_main(); });
+    workers_.emplace_back([this, i] { worker_main(i); });
 }
 
 TaskPool::~TaskPool() {
@@ -115,7 +115,6 @@ void TaskPool::run_job(std::size_t n, std::size_t grain,
     job_grain_ = grain;
     job_chunks_ = chunks;
     job_worker_budget_ = cap - 1;
-    job_tickets_ = 0;
     job_error_ = nullptr;
     next_chunk_.store(0, std::memory_order_relaxed);
     done_chunks_.store(0, std::memory_order_relaxed);
@@ -170,7 +169,7 @@ void TaskPool::drain(ChunkFn fn, void* ctx, std::size_t n, std::size_t grain,
   }
 }
 
-void TaskPool::worker_main() {
+void TaskPool::worker_main(std::size_t index) {
   std::uint64_t seen = 0;
   for (;;) {
     ChunkFn fn = nullptr;
@@ -183,8 +182,7 @@ void TaskPool::worker_main() {
       while (!stop_ && epoch_ == seen) cv_.wait(lock.native());
       if (stop_) return;
       seen = epoch_;
-      if (job_tickets_ >= job_worker_budget_) continue;  // over this job's cap
-      ++job_tickets_;
+      if (index >= job_worker_budget_) continue;  // over this job's cap
       ++active_workers_;
       fn = job_fn_;
       ctx = job_ctx_;

@@ -97,7 +97,7 @@ class TaskPool {
 
   void run_job(std::size_t n, std::size_t grain, std::size_t max_threads,
                ChunkFn fn, void* ctx);
-  void worker_main();
+  void worker_main(std::size_t index);
   /// Claim and execute chunks until the queue is exhausted.
   void drain(ChunkFn fn, void* ctx, std::size_t n, std::size_t grain,
              std::size_t chunks);
@@ -119,13 +119,15 @@ class TaskPool {
   std::size_t job_n_ TMM_GUARDED_BY(mu_) = 0;
   std::size_t job_grain_ TMM_GUARDED_BY(mu_) = 0;
   std::size_t job_chunks_ TMM_GUARDED_BY(mu_) = 0;
+  // Workers 0 .. budget-1 join the current job; the rest skip it. Pinning
+  // a job's width to the lowest-index workers keeps allocating jobs (the
+  // TS loop's per-slot scratch graphs) on the same threads, and so in
+  // the same glibc arenas, instead of growing one arena per worker that
+  // happened to win a job.
   std::size_t job_worker_budget_ TMM_GUARDED_BY(mu_) = 0;
-  // Tickets handed to workers for the current job (caps participation
-  // at the job's thread budget) and workers currently inside drain().
-  // The job counters below are only reset once active_workers_ == 0,
-  // so a straggler from the previous epoch can never claim chunks of
-  // a new job.
-  std::size_t job_tickets_ TMM_GUARDED_BY(mu_) = 0;
+  // Workers currently inside drain(). The job counters below are only
+  // reset once active_workers_ == 0, so a straggler from the previous
+  // epoch can never claim chunks of a new job.
   std::size_t active_workers_ TMM_GUARDED_BY(mu_) = 0;
   std::exception_ptr job_error_ TMM_GUARDED_BY(mu_);
 

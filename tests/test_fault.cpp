@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -295,6 +296,42 @@ TEST(TsIsolation, FailedPinIsConservativelyKept) {
   EXPECT_LE(diffs, 1u);
 }
 
+TEST(TsIsolation, ScratchBuildFailureIsOnePinAtEveryThreadCount) {
+  const DisarmGuard guard;
+  const Design d = test::make_tiny_design("iso3", 17);
+  const IlmResult ilm = extract_ilm(build_timing_graph(d));
+  const std::vector<bool> candidates(ilm.graph.num_nodes(), true);
+  TsConfig cfg;
+  cfg.threads = 1;
+  const TsResult clean = evaluate_timing_sensitivity(ilm.graph, candidates,
+                                                     cfg);
+  ASSERT_EQ(clean.failed_pins, 0u);
+  ASSERT_GT(clean.evaluated_pins, 2u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    // Hits 1..|C| are the reference runs; the next one is the first
+    // engine of a worker's scratch build.
+    ASSERT_TRUE(fault::arm("sta.run", cfg.num_constraint_sets + 1).ok());
+    TsResult faulty;
+    ASSERT_NO_THROW(faulty = evaluate_timing_sensitivity(ilm.graph,
+                                                         candidates, cfg));
+    EXPECT_EQ(faulty.failed_pins, 1u);
+    EXPECT_NE(faulty.first_failure.find("injected"), std::string::npos);
+    // Which pin fails may differ with two workers, so count: at most
+    // one pin differs from the clean run, and it reads 1.0.
+    std::size_t diffs = 0;
+    for (std::size_t n = 0; n < clean.ts.size(); ++n) {
+      if (std::memcmp(&clean.ts[n], &faulty.ts[n], sizeof(double)) != 0) {
+        ++diffs;
+        EXPECT_EQ(faulty.ts[n], 1.0);
+      }
+    }
+    EXPECT_LE(diffs, 1u);
+  }
+}
+
 TEST(TsIsolation, SkippedConstraintSetDegradesNotAborts) {
   const DisarmGuard guard;
   const Design d = test::make_tiny_design("iso2", 19);
@@ -405,7 +442,7 @@ FlowConfig tiny_train_config() {
   FlowConfig cfg;
   cfg.train.epochs = 4;
   cfg.train.patience = 0;
-  cfg.data.ts.threads = 1;
+  cfg.threads = 1;
   return cfg;
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -94,6 +96,25 @@ TEST(TaskPool, NestedParallelForRunsInlineWithoutDeadlock) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i)
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(TaskPool, JobsOfOneWidthReuseTheSameWorker) {
+  // A job capped at k threads runs on the caller and workers 0..k-2, so
+  // successive jobs of one width land on the same threads (and so in
+  // the same allocator arenas), not on whichever worker wakes first.
+  TaskPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::set<std::thread::id> helpers;
+  for (int job = 0; job < 20; ++job) {
+    std::vector<std::thread::id> ran_on(8);
+    pool.parallel_for(ran_on.size(), 1, 2, [&](std::size_t b, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran_on[b] = std::this_thread::get_id();
+    });
+    for (const std::thread::id id : ran_on)
+      if (id != caller) helpers.insert(id);
+  }
+  EXPECT_LE(helpers.size(), 1u);
 }
 
 TEST(TaskPool, BackToBackJobsOfVaryingShape) {

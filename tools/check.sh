@@ -81,7 +81,7 @@ run_tsan() {
   cmake --build "$ROOT/build-check-tsan" -j"$JOBS" --target tmm_tests
   TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-check-tsan/tests/tmm_tests" \
-    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:GnnGolden.*:GnnParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
+    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:GnnGolden.*:GnnParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:TsIsolation.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
 }
 
 run_tidy() {

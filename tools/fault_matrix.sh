@@ -96,6 +96,22 @@ while read -r site; do
   echo "  throw $site: rc=$rc OK"
 done < "$DIR/sites.txt"
 
+# TS faults inside the worker slots: `train --threads 2` runs the
+# per-pin TS loop on the shared pool, so a fault on any hit — a
+# reference run, a slot's scratch build, one pin's re-analysis — must
+# degrade or skip the design with a diagnostic, never escape a worker.
+for site in sta.run ts.eval_pin; do
+  for k in 1 2 3 4 5 6 7 8; do
+    rc=0
+    TMM_FAULT="$site:$k" "$TMM" train "$DIR/ts-$k.gnn" "$DIR/t1.dsn" \
+      "$DIR/t2.dsn" --threads 2 > "$DIR/ts-$site-$k.txt" 2>&1 || rc=$?
+    [ "$rc" -le 3 ] || fail "$site:$k: exit code $rc in the TS worker loop"
+    grep -q "injected" "$DIR/ts-$site-$k.txt" \
+      || fail "$site:$k: no injected-fault diagnostic (rc=$rc)"
+  done
+  echo "  throw $site:1..8: train --threads 2 degraded cleanly OK"
+done
+
 # Hot-reload rollback: each serve.reload_* site fires mid-reload
 # against a live server; the reload must report the injected failure,
 # the previous generation must keep serving (bit-identically when a

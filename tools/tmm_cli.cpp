@@ -66,10 +66,11 @@
 // --threads N on the analysis commands caps the worker count of the
 // STA runs, the TS loop and GNN training (`train`, `flow`: one
 // training design per task) (N >= 1); without it the count is
-// automatic (TMM_THREADS when set, else hardware concurrency). On
-// `serve` it sets the request worker count as before. Parallel runs
-// are bit-identical to serial, .gnn weights included
-// (docs/PERFORMANCE.md).
+// automatic (TMM_THREADS when set, else hardware concurrency). All
+// three run on one shared worker pool of that automatic size, so an N
+// above it gets the pool's size. On `serve` it sets the request worker
+// count as before. Parallel runs are bit-identical to serial, .gnn
+// weights included (docs/PERFORMANCE.md).
 //
 // Exit codes: 0 success; 1 runtime failure; 2 configuration error
 // (unrecognized/misplaced options, malformed TMM_FAULT, checkpoint
@@ -348,6 +349,16 @@ std::size_t sta_threads(const Args& args) {
   return args.threads_given ? args.threads : 0;
 }
 
+/// The flow settings `train`, `generate` and `flow` take from the flags.
+FlowConfig flow_config(const Args& args) {
+  FlowConfig cfg;
+  cfg.cppr = args.cppr;
+  cfg.cppr_feature = args.cppr;
+  cfg.regression = args.regression;
+  cfg.threads = sta_threads(args);
+  return cfg;
+}
+
 int cmd_gen_design(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error("gen-design: output path required");
@@ -467,12 +478,8 @@ void print_degradation(const std::vector<DesignFailure>& failed,
 int cmd_train(const Args& args) {
   if (args.positional.size() < 2)
     throw std::runtime_error("train: <out.gnn> <train.dsn...> required");
-  FlowConfig cfg;
-  cfg.cppr = args.cppr;
-  cfg.cppr_feature = args.cppr;
-  cfg.regression = args.regression;
+  FlowConfig cfg = flow_config(args);
   cfg.checkpoint_dir = args.resume_dir;
-  cfg.threads = sta_threads(args);
   Framework fw(cfg);
   std::vector<Design> designs;
   for (std::size_t i = 1; i < args.positional.size(); ++i)
@@ -505,16 +512,11 @@ int cmd_flow(const Args& args) {
   } else if (args.positional.empty()) {
     throw UsageError("flow: at least one design required");
   }
-  FlowConfig cfg;
-  cfg.cppr = args.cppr;
-  cfg.cppr_feature = args.cppr;
-  cfg.regression = args.regression;
-  cfg.threads = sta_threads(args);
   std::vector<std::string> paths(args.positional.begin() +
                                      static_cast<std::ptrdiff_t>(first_design),
                                  args.positional.end());
   const flow::FlowRunReport report = flow::run_flow(
-      paths, dir, cfg, default_library(), frontend_config(args));
+      paths, dir, flow_config(args), default_library(), frontend_config(args));
   std::printf("flow: trained on %zu design(s)%s, %zu modeled, %zu failed\n",
               report.training.designs,
               report.training.designs_from_checkpoint > 0 ||
@@ -540,12 +542,7 @@ int cmd_fault_sites(const Args&) {
 int cmd_generate(const Args& args) {
   if (args.positional.size() < 3)
     throw std::runtime_error("generate: <in.gnn> <in.dsn> <out.macro>");
-  FlowConfig cfg;
-  cfg.cppr = args.cppr;
-  cfg.cppr_feature = args.cppr;
-  cfg.regression = args.regression;
-  cfg.threads = sta_threads(args);
-  Framework fw(cfg);
+  Framework fw(flow_config(args));
   fw.set_model(load_gnn_file(args.positional[0]));
   const Design d = load_design(args.positional[1]);
   DesignResult r = fw.run_design(d);
