@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: LUT lookup, full STA propagation (serial and
 // level-parallel), the slew-only filter propagation, GraphSAGE
-// inference and training epochs (1/2/4 threads), feature extraction,
-// ILM extraction, merging, .macro formatting and the incremental TS
-// evaluation loop.
+// inference and training epochs (1/2/4 threads), the GNN GEMM kernels
+// (both bodies), feature extraction, ILM extraction, merging, .macro
+// formatting and the incremental TS evaluation loop.
 //
 // BM_SpeedupRecords times the TS loop full vs incremental
 // (`speedup_incremental`) and serial vs parallel full STA on a large
@@ -20,6 +20,7 @@
 
 #include "bench_common.hpp"
 #include "flow/framework.hpp"
+#include "gnn/gemm.hpp"
 #include "liberty/library_gen.hpp"
 #include "macro/model_io.hpp"
 #include "netlist/design_gen.hpp"
@@ -363,6 +364,59 @@ BENCHMARK(BM_GnnTrainEpoch)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// One GNN kernel on the largest training sample's shapes (1087 nodes,
+// an input width of state.range(1) = 9 or 32 features, 32 hidden
+// units) through one GEMM body: state.range(2) 0 = baseline (4 lanes),
+// 1 = AVX2 (8 lanes; skipped without AVX2). state.range(0) picks the
+// kernel: 0 matmul (x * W, forward), 1 matmul_at_b (x^T * dz, weight
+// gradient), 2 matmul_a_bt (dz * W^T, input gradient, after the
+// transpose). About 30% of the x and dz entries are zero, as after a
+// ReLU.
+void BM_GnnKernel(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1087;
+  constexpr std::size_t kHidden = 32;
+  const std::size_t in = static_cast<std::size_t>(state.range(1));
+  if (state.range(2) == 1 && !gemm::has_avx2()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  Rng rng(5);
+  const auto seeded = [&](std::size_t rows, std::size_t cols) {
+    Matrix m(rows, cols);
+    for (float& v : m.data())
+      v = rng.chance(0.3) ? 0.0f : static_cast<float>(rng.uniform(-1, 1));
+    return m;
+  };
+  const Matrix x = seeded(kNodes, in);
+  const Matrix w = seeded(in, kHidden);
+  const Matrix dz = seeded(kNodes, kHidden);
+  Matrix wt(kHidden, in);
+  for (std::size_t j = 0; j < in; ++j)
+    for (std::size_t p = 0; p < kHidden; ++p) wt(p, j) = w(j, p);
+  Matrix out_fwd(kNodes, kHidden);
+  Matrix out_grad(in, kHidden);
+  Matrix out_dx(kNodes, in);
+  gemm::Args args;
+  switch (state.range(0)) {
+    case 0: args = gemm::for_matmul(x, w, out_fwd); break;
+    case 1: args = gemm::for_matmul_at_b(x, dz, out_grad); break;
+    default: args = gemm::for_matmul_a_bt(dz, wt, out_dx); break;
+  }
+  const auto body =
+      state.range(2) == 1 ? &gemm::run_avx2 : &gemm::run_baseline;
+  for (auto _ : state) {
+    body(args);
+    benchmark::DoNotOptimize(args.out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(args.m * args.k * args.n));
+}
+BENCHMARK(BM_GnnKernel)
+    ->ArgNames({"kernel", "in", "avx2"})
+    ->ArgsProduct({{0, 1, 2}, {9, 32}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TsEvalFullVsIncremental(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

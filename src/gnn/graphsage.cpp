@@ -47,6 +47,13 @@ GnnWorkspace GnnModel::workspace(std::size_t num_nodes, bool backward) const {
   return ws;
 }
 
+void GnnModel::fix_input(const GnnGraph& g, const Matrix& x,
+                         GnnWorkspace& ws) const {
+  if (ws.sage.empty()) return;
+  mean_aggregate(g, x, ws.sage[0].hn);
+  ws.sage[0].hn_fixed = true;
+}
+
 std::string GnnModel::input_mismatch(const GnnGraph& g,
                                      const Matrix& x) const {
   if (x.rows() == g.num_nodes && x.cols() == cfg_.input_dim) return "";

@@ -37,6 +37,9 @@ class GnnModel {
   /// Buffers for passes over a graph of `num_nodes` nodes; `backward`
   /// adds the gradient buffers training needs.
   GnnWorkspace workspace(std::size_t num_nodes, bool backward) const;
+  /// Computes layer 1's neighbor mean of `x` into `ws` once; forward
+  /// passes over `ws` then reuse it, so `ws` may only ever see this `x`.
+  void fix_input(const GnnGraph& g, const Matrix& x, GnnWorkspace& ws) const;
   /// Empty when `x` holds one row of config().input_dim features per
   /// node of `g`; otherwise what does not fit.
   std::string input_mismatch(const GnnGraph& g, const Matrix& x) const;

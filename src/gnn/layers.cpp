@@ -87,7 +87,7 @@ SageBuffers SageLayer::buffers(std::size_t num_nodes, bool backward) const {
 
 void SageLayer::forward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
                         Matrix& zn) const {
-  mean_aggregate(g, x, b.hn);
+  if (!b.hn_fixed) mean_aggregate(g, x, b.hn);
   matmul(x, w_self_.value, b.h);
   matmul(b.hn, w_neigh_.value, zn);
   add_inplace(b.h, zn);

@@ -54,6 +54,9 @@ struct Param {
 /// (GnnWorkspace). The gradient buffers are empty in inference passes.
 struct SageBuffers {
   Matrix hn;       ///< mean of the layer input over neighbors (n x in)
+  /// hn already holds the mean of this layer's input, which the owner
+  /// keeps fixed (layer 1 in training): forward skips the aggregation.
+  bool hn_fixed = false;
   Matrix h;        ///< ReLU output (n x out)
   Matrix dz;       ///< dL/d pre-activation (n x out): the bias gradient rows
   Matrix g_self;   ///< this pass's W_self gradient (in x out)
@@ -72,7 +75,7 @@ class SageLayer {
 
   SageBuffers buffers(std::size_t num_nodes, bool backward) const;
 
-  /// Fills b.hn and b.h; `zn` (n x out) is scratch.
+  /// Fills b.hn (unless b.hn_fixed) and b.h; `zn` (n x out) is scratch.
   void forward(const GnnGraph& g, const Matrix& x, SageBuffers& b,
                Matrix& zn) const;
   /// On entry b.dz holds dL/dh, on return dL/d pre-activation; fills

@@ -120,10 +120,14 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
 
   // Everything the passes write is allocated here, on this thread, so
   // the workers never call malloc (docs/PERFORMANCE.md, "GNN training").
+  // Layer 1's input is the fixed feature matrix: its neighbor mean is
+  // computed here once, not every epoch.
   std::vector<GnnWorkspace> ws;
   ws.reserve(samples.size());
-  for (const auto& s : samples)
+  for (const auto& s : samples) {
     ws.push_back(model.workspace(s.graph.num_nodes, true));
+    model.fix_input(s.graph, s.features, ws.back());
+  }
   std::vector<double> losses(samples.size());
   const std::size_t threads = std::min(
       cfg.threads == 0 ? util::TaskPool::default_threads() : cfg.threads,

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "fault/fault.hpp"
 #include "gnn/features.hpp"
+#include "gnn/gemm.hpp"
 #include "gnn/metrics.hpp"
 #include "gnn/trainer.hpp"
 #include "macro/ilm.hpp"
@@ -485,6 +489,167 @@ TEST(GnnParallel, MismatchedSampleIsAConfigError) {
   EXPECT_THROW(static_cast<void>(GnnModel(cfg).predict(ok.graph,
                                                        Matrix(30, 9))),
                fault::FlowError);
+}
+
+// ---------------------------------------------------------------- kernels
+
+// The three matmul loops as they were before the tiled GEMM body
+// replaced them: the oracle for its bits.
+void naive_matmul(const Matrix& a, const Matrix& b, Matrix& out) {
+  out.fill(0.0f);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float av = a(i, p);
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += av * b(p, j);
+    }
+  }
+}
+
+void naive_matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
+  out.fill(0.0f);
+  for (std::size_t p = 0; p < a.rows(); ++p) {
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const float av = a(p, i);
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += av * b(p, j);
+    }
+  }
+}
+
+void naive_matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
+  out.fill(0.0f);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t p = 0; p < a.cols(); ++p)
+      for (std::size_t j = 0; j < b.rows(); ++j)
+        out(i, j) += a(i, p) * b(j, p);
+}
+
+/// Seeded entries, about a fifth +0 or -0, with a sprinkle of
+/// denormals (and products that round into them) and, when
+/// `non_finite`, of NaN and +-inf.
+Matrix special_matrix(std::size_t rows, std::size_t cols, Rng& rng,
+                      bool non_finite) {
+  constexpr float kSpecials[] = {
+      std::numeric_limits<float>::denorm_min(),
+      -3.0e-39f,
+      1.5e-38f,
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+  };
+  const std::size_t specials = non_finite ? std::size(kSpecials) : 3;
+  Matrix m(rows, cols);
+  for (float& v : m.data()) {
+    const double u = rng.uniform();
+    if (u < 0.1)
+      v = 0.0f;
+    else if (u < 0.2)
+      v = -0.0f;
+    else if (u < 0.23)
+      v = kSpecials[rng.below(specials)];
+    else
+      v = static_cast<float>(rng.uniform(-2, 2));
+  }
+  return m;
+}
+
+/// Index of the first element whose bits differ, or size() if none. A
+/// NaN matches any NaN: IEEE 754 leaves open which operand's NaN an
+/// operation returns and x86 returns the first, so when two NaNs of
+/// opposite sign meet, the result follows the operand order the
+/// compiler picks for a commutative multiply or add. The tiled body
+/// and the old loops differ in exactly that.
+std::size_t first_bit_mismatch(const Matrix& got, const Matrix& want) {
+  if (got.size() != want.size()) return 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const float gv = got.data()[i];
+    const float wv = want.data()[i];
+    std::uint32_t g = 0;
+    std::uint32_t w = 0;
+    std::memcpy(&g, &gv, sizeof g);
+    std::memcpy(&w, &wv, sizeof w);
+    if (g != w && !(std::isnan(gv) && std::isnan(wv))) return i;
+  }
+  return got.size();
+}
+
+using GemmBody = void (*)(const gemm::Args&);
+
+// Runs `body` in each kernel's layout on seeded shapes and compares
+// every output bit with the old loops; the dispatched public kernels
+// must match them too. The A operand always holds NaN and +-inf; the B
+// operand once does (the body keeps the zero skip) and once does not
+// (it drops it).
+void expect_old_bits(GemmBody body) {
+  Rng rng(2024);
+  const auto check = [&](std::size_t m, std::size_t n, std::size_t k,
+                         bool non_finite_b) {
+    SCOPED_TRACE("m " + std::to_string(m) + " n " + std::to_string(n) +
+                 " k " + std::to_string(k) +
+                 (non_finite_b ? ", non-finite b" : ", finite b"));
+    const Matrix x = special_matrix(m, k, rng, true);   // a of a*b, a*b^T
+    const Matrix xt = special_matrix(k, m, rng, true);  // a of a^T*b
+    const Matrix b = special_matrix(k, n, rng, non_finite_b);
+    const Matrix bn = special_matrix(n, k, rng, non_finite_b);  // a*b^T
+    Matrix want(m, n);
+    Matrix got(m, n, 7.0f);  // every element must be overwritten
+    Matrix pub(m, n, 7.0f);
+    Matrix bt(k, n);
+
+    naive_matmul(x, b, want);
+    body(gemm::for_matmul(x, b, got));
+    matmul(x, b, pub);
+    EXPECT_EQ(first_bit_mismatch(got, want), want.size()) << "a * b";
+    EXPECT_EQ(first_bit_mismatch(pub, want), want.size()) << "a * b";
+
+    naive_matmul_at_b(xt, b, want);
+    got.fill(7.0f);
+    pub.fill(7.0f);
+    body(gemm::for_matmul_at_b(xt, b, got));
+    matmul_at_b(xt, b, pub);
+    EXPECT_EQ(first_bit_mismatch(got, want), want.size()) << "a^T * b";
+    EXPECT_EQ(first_bit_mismatch(pub, want), want.size()) << "a^T * b";
+
+    naive_matmul_a_bt(x, bn, want);
+    matmul_a_bt(x, bn, bt, pub);
+    got.fill(7.0f);
+    body(gemm::for_matmul_a_bt(x, bt, got));
+    EXPECT_EQ(first_bit_mismatch(got, want), want.size()) << "a * b^T";
+    EXPECT_EQ(first_bit_mismatch(pub, want), want.size()) << "a * b^T";
+  };
+  for (const std::size_t m : {1, 2, 7, 10})
+    for (const std::size_t n : {1, 9, 31, 32, 33, 40})
+      for (const std::size_t k : {0, 1, 9, 32})
+        for (const bool non_finite_b : {false, true})
+          check(m, n, k, non_finite_b);
+}
+
+TEST(GnnKernels, BaselineBodyMatchesOldLoops) {
+  expect_old_bits(&gemm::run_baseline);
+}
+
+TEST(GnnKernels, Avx2BodyMatchesOldLoops) {
+  if (!gemm::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_old_bits(&gemm::run_avx2);
+}
+
+// Layer 1's neighbor mean, fixed once per workspace, leaves the
+// forward pass's bits alone; a fresh workspace still aggregates.
+TEST(GnnModel, FixedInputMeanMatchesAggregation) {
+  const GraphSample s = uneven_sample(50, 7, false);
+  GnnModelConfig cfg;
+  cfg.input_dim = 5;
+  const GnnModel model(cfg);
+  GnnWorkspace fixed = model.workspace(50, true);
+  model.fix_input(s.graph, s.features, fixed);
+  EXPECT_TRUE(fixed.sage[0].hn_fixed);
+  Matrix mean(50, 5);
+  mean_aggregate(s.graph, s.features, mean);
+  EXPECT_EQ(first_bit_mismatch(fixed.sage[0].hn, mean), mean.size());
+  const std::vector<float> want = model.predict(s.graph, s.features);
+  for (int pass = 0; pass < 2; ++pass)
+    EXPECT_EQ(model.predict(s.graph, s.features, fixed), want);
 }
 
 TEST(GnnGraph, FromTimingGraphIsUndirected) {
