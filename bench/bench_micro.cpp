@@ -2,8 +2,8 @@
 // substrate pieces: LUT lookup, full STA propagation (serial and
 // level-parallel), the slew-only filter propagation, GraphSAGE
 // inference and training epochs (1/2/4 threads), the GNN GEMM kernels
-// (both bodies), feature extraction, ILM extraction, merging, .macro
-// formatting and the incremental TS evaluation loop.
+// (both bodies), feature extraction, ILM extraction, merging, one %.9g
+// conversion, .macro formatting and the incremental TS evaluation loop.
 //
 // BM_SpeedupRecords times the TS loop full vs incremental
 // (`speedup_incremental`) and serial vs parallel full STA on a large
@@ -15,8 +15,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "flow/framework.hpp"
@@ -30,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "sensitivity/ts_eval.hpp"
 #include "util/instrument.hpp"
+#include "util/text_out.hpp"
 
 namespace {
 
@@ -270,6 +273,47 @@ void BM_MergeInsensitivePins(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeInsensitivePins)->Unit(benchmark::kMillisecond);
+
+// One %.9g conversion of a LUT value: every index and value of the
+// flat graph's cell-arc tables, cycled. Arg(0) is plain std::to_chars,
+// Arg(1) util::to_chars_general (TextOut's path), which must print the
+// same bytes several times faster.
+void BM_TextOutDouble(benchmark::State& state) {
+  static const std::vector<double> values = [] {
+    std::vector<double> out;
+    const TimingGraph& g = flat_graph();
+    for (ArcId a = 0; a < g.num_arcs(); ++a) {
+      const GraphArc& arc = g.arc(a);
+      if (arc.kind != GraphArcKind::kCell) continue;
+      for (unsigned el = 0; el < kNumEl; ++el)
+        for (unsigned rf = 0; rf < kNumRf; ++rf) {
+          const Lut& lut = (*arc.delay)(el, rf);
+          out.insert(out.end(), lut.slew_index().begin(),
+                     lut.slew_index().end());
+          out.insert(out.end(), lut.load_index().begin(),
+                     lut.load_index().end());
+          out.insert(out.end(), lut.values().begin(), lut.values().end());
+        }
+    }
+    return out;
+  }();
+  const bool fast = state.range(0) != 0;
+  char buf[32];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double v = values[i];
+    i = i + 1 == values.size() ? 0 : i + 1;
+    char* end =
+        fast ? util::to_chars_general(buf, buf + sizeof buf, v, 9)
+             : std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::general, 9)
+                   .ptr;
+    benchmark::DoNotOptimize(end);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TextOutDouble)->ArgName("fast")->Arg(0)->Arg(1);
 
 // The .macro text of one model the size perfbench's generate workload
 // writes: the largest scale-1000 testing design (leon2_iccad_eval)

@@ -35,7 +35,21 @@ void TokenReader::expect(const char* tag) {
 }
 
 double TokenReader::number(const char* what) {
+  return to_number(token(what), what);
+}
+
+float TokenReader::number_f(const char* what) {
   const std::string tok = token(what);
+  // The float, not the double, is checked: FLT_MAX printed at 9 digits
+  // reads back as a double just above FLT_MAX but rounds to FLT_MAX.
+  const auto v = static_cast<float>(to_number(tok, what));
+  if (!std::isfinite(v))
+    fail(std::string("non-finite value '") + tok + "' for " + what);
+  return v;
+}
+
+double TokenReader::to_number(const std::string& tok,
+                               const char* what) const {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
   if (end == tok.c_str() || *end != '\0')
@@ -44,10 +58,6 @@ double TokenReader::number(const char* what) {
   if (!std::isfinite(v))
     fail(std::string("non-finite value '") + tok + "' for " + what);
   return v;
-}
-
-float TokenReader::number_f(const char* what) {
-  return static_cast<float>(number(what));
 }
 
 std::size_t TokenReader::size(const char* what) {

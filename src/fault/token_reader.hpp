@@ -33,6 +33,8 @@ class TokenReader {
   /// Finite floating-point field (NaN/Inf is a parse error). Accepts
   /// the hexfloat spelling the checkpoint writer uses.
   double number(const char* what);
+  /// number() that must also be finite as a float: a value beyond
+  /// FLT_MAX (say 1e300 in a weight) is the same parse error as "inf".
   float number_f(const char* what);
 
   /// Non-negative integer field.
@@ -52,6 +54,9 @@ class TokenReader {
   [[noreturn]] void fail(const std::string& msg) const;
 
  private:
+  /// `tok` as a finite double, or a parse error naming `what`.
+  double to_number(const std::string& tok, const char* what) const;
+
   std::istream& is_;
   std::string source_;
   std::size_t line_ = 1;

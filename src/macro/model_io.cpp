@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/token_reader.hpp"
@@ -60,6 +62,21 @@ std::string format_macro_model(const MacroModel& model) {
   const TimingGraph& g = model.graph;
   util::TextOut buf(9);
 
+  // Each table set is formatted once per model: unmerged cell arcs and
+  // checks share the library's ElRf<Lut>, so a pointer seen before
+  // appends a copy of the bytes (offset, length) it wrote the first time.
+  std::unordered_map<const ElRf<Lut>*, std::pair<std::size_t, std::size_t>>
+      written;
+  auto tables = [&](const ElRf<Lut>* t) {
+    const auto [it, fresh] = written.try_emplace(t, buf.size(), 0);
+    if (fresh) {
+      write_tables(buf, *t);
+      it->second.second = buf.size() - it->second.first;
+    } else {
+      buf.append_copy(it->second.first, it->second.second);
+    }
+  };
+
   // Compact live node ids.
   std::vector<NodeId> to_compact(g.num_nodes(), kInvalidId);
   std::size_t live = 0;
@@ -99,8 +116,8 @@ std::string format_macro_model(const MacroModel& model) {
         << ' ' << (arc.is_launch ? 1 : 0) << ' ' << (arc.baked_derate ? 1 : 0)
         << ' ' << arc.wire_delay_ps << '\n';
     if (arc.kind == GraphArcKind::kCell) {
-      write_tables(buf, *arc.delay);
-      write_tables(buf, *arc.out_slew);
+      tables(arc.delay);
+      tables(arc.out_slew);
     }
   }
 
@@ -108,7 +125,7 @@ std::string format_macro_model(const MacroModel& model) {
     if (c.dead) continue;
     buf << "check " << to_compact[c.clock] << ' ' << to_compact[c.data] << ' '
         << (c.is_setup ? 1 : 0) << '\n';
-    write_tables(buf, *c.guard);
+    tables(c.guard);
   }
 
   return std::move(buf).take();

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -370,6 +372,33 @@ TEST(Checkpoint, SensRoundTripIsBitExact) {
   EXPECT_EQ(back->labels, s.labels);  // exact, not approximate
   EXPECT_EQ(back->ts, s.ts);
   EXPECT_EQ(back->filtered_fraction, s.filtered_fraction);
+}
+
+// A label is a float: one beyond FLT_MAX is corrupt (a cache miss),
+// while FLT_MAX itself loads back exactly.
+TEST(Checkpoint, LabelBeyondFloatRangeIsACacheMiss) {
+  const TempDir dir;
+  const FlowConfig cfg;
+  const auto ckpt = flow::Checkpoint::open(dir.str(), cfg);
+  flow::SensCheckpoint s;
+  s.nodes = 2;
+  s.labels = {std::numeric_limits<float>::max(), 0.0f};
+  s.ts = {0.0, 1.0};
+  ckpt.save_sens("blk", s);
+  const auto back = ckpt.load_sens("blk");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->labels, s.labels);
+
+  std::string text;
+  {
+    std::ifstream in(ckpt.sens_path("blk"));
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::size_t first = text.find("labels\n") + 7;
+  text.replace(first, text.find(' ', first) - first, "1e300");
+  std::ofstream(ckpt.sens_path("blk")) << text;
+  EXPECT_FALSE(ckpt.load_sens("blk").has_value());
 }
 
 TEST(Checkpoint, CorruptSensIsACacheMiss) {

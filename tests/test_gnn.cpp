@@ -317,6 +317,47 @@ TEST(GnnModelIo, SaveLeavesCallerStreamAlone) {
   EXPECT_EQ(os.str(), fresh.str());
 }
 
+/// A small model's .gnn text with its first weight replaced by `weight`.
+std::string gnn_text_with_first_weight(const std::string& weight) {
+  GnnModelConfig cfg;
+  cfg.input_dim = 4;
+  cfg.hidden_dim = 5;
+  std::ostringstream os;
+  GnnModel(cfg).save(os);
+  std::string text = os.str();
+  // Line 1 is the header, line 2 the first parameter's shape; the
+  // first weight is the first token of line 3.
+  const std::size_t line3 = text.find('\n', text.find('\n') + 1) + 1;
+  text.replace(line3, text.find(' ', line3) - line3, weight);
+  return text;
+}
+
+TEST(GnnModelIo, WeightBeyondFloatRangeIsAParseError) {
+  std::istringstream is(gnn_text_with_first_weight("1e300"));
+  try {
+    static_cast<void>(GnnModel::load(is, "w.gnn"));
+    FAIL() << "expected FlowError";
+  } catch (const fault::FlowError& e) {
+    EXPECT_EQ(e.code(), fault::ErrorCode::kParse);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("w.gnn:3"), std::string::npos) << what;
+    EXPECT_NE(what.find("non-finite value '1e300'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(GnnModelIo, FloatMaxWeightLoads) {
+  // FLT_MAX prints as 3.40282347e+38 at 9 digits, which reads back as a
+  // double just above FLT_MAX; the float it rounds to is FLT_MAX itself,
+  // so the weight must load.
+  for (const char* text : {"3.40282347e+38", "-3.40282347e+38"}) {
+    std::istringstream is(gnn_text_with_first_weight(text));
+    const float w = GnnModel::load(is).params().front()->value.data()[0];
+    EXPECT_EQ(std::fabs(w), std::numeric_limits<float>::max()) << text;
+    EXPECT_EQ(w < 0, text[0] == '-') << text;
+  }
+}
+
 // ---------------------------------------------------------------- golden
 
 /// Two seeded designs labelled by the Fig. 8 flow, as Framework::train

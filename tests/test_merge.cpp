@@ -6,6 +6,7 @@
 #include "macro/model_io.hpp"
 #include "test_helpers.hpp"
 
+#include <set>
 #include <sstream>
 
 namespace tmm {
@@ -177,6 +178,42 @@ TEST(Merge, ModelIoRoundTripPreservesTiming) {
       evaluate_accuracy(model.graph, back.graph, sets, {.cppr = true});
   EXPECT_EQ(rep.structural_mismatches, 0u);
   EXPECT_LT(rep.max_err_ps, 1e-5);  // text precision only
+}
+
+// Unmerged cell arcs share the library's tables, and the writer formats
+// each shared table set once and copies its bytes after that. The text
+// must be what formatting every arc's own copy gives.
+TEST(Merge, ModelIoSharedTablesMatchOwnedCopies) {
+  const Design d = test::make_small_design("shared", 6);
+  const TimingGraph flat = build_timing_graph(d);
+  MacroModel shared;
+  shared.design_name = "shared";
+  shared.graph = extract_ilm(flat).graph;
+  MacroModel owned;
+  owned.design_name = "shared";
+  owned.graph = extract_ilm(flat).graph;
+
+  std::set<const ElRf<Lut>*> distinct;
+  std::size_t cell_arcs = 0;
+  TimingGraph& g = owned.graph;
+  for (ArcId a = 0; a < g.num_arcs(); ++a) {
+    GraphArc& arc = g.arc(a);
+    if (arc.dead || arc.kind != GraphArcKind::kCell) continue;
+    ++cell_arcs;
+    distinct.insert(arc.delay);
+    arc.delay = g.own_tables(*arc.delay);
+    arc.out_slew = g.own_tables(*arc.out_slew);
+  }
+  ASSERT_LT(distinct.size(), cell_arcs) << "no shared tables to reuse";
+
+  std::ostringstream a;
+  std::ostringstream b;
+  const std::size_t bytes = write_macro_model(shared, a);
+  write_macro_model(owned, b);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(bytes, a.str().size());
+  EXPECT_EQ(macro_model_size_bytes(shared), bytes);
+  EXPECT_EQ(macro_model_size_bytes(owned), bytes);
 }
 
 TEST(Merge, RefusesHighFanProductPins) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/instrument.hpp"
@@ -274,6 +276,89 @@ TEST(TextOut, MatchesPrintf) {
     bad += count_format_mismatches(9, v, os);
   }
   EXPECT_EQ(bad, 0) << "float";
+}
+
+/// Formats `v` through TextOut and std::to_chars(general, `prec`), the
+/// definition TextOut's fast path must reproduce. Returns 1 on a
+/// mismatch, reporting the first few.
+int count_to_chars_mismatches(int prec, double v) {
+  util::TextOut out(prec);
+  out << v;
+  char want[64];
+  const auto r = std::to_chars(want, want + sizeof want, v,
+                               std::chars_format::general, prec);
+  if (out.str() == std::string_view(want, r.ptr)) return 0;
+  static int reported = 0;
+  if (reported++ < 10)
+    ADD_FAILURE() << "precision " << prec << ", value " << std::hexfloat << v
+                  << ": TextOut '" << out.str() << "', to_chars '"
+                  << std::string_view(want, r.ptr) << "'";
+  return 1;
+}
+
+/// `v` and its `n` neighbours on each side, ulp by ulp.
+std::vector<double> around(double v, int n) {
+  std::vector<double> out{v};
+  double lo = v;
+  double hi = v;
+  for (int i = 0; i < n; ++i) {
+    lo = std::nextafter(lo, -DBL_MAX);
+    hi = std::nextafter(hi, DBL_MAX);
+    out.push_back(lo);
+    out.push_back(hi);
+  }
+  return out;
+}
+
+// The fast path covers 1e-5 <= |v| < 1e9 at precision <= 9 and falls
+// back to to_chars near rounding ties and decade boundaries; this
+// probes exactly those places, where MatchesPrintf's random bit
+// patterns almost never land.
+TEST(TextOut, FastPathMatchesToChars) {
+  for (const int prec : {6, 9}) {
+    int bad = 0;
+    Rng rng(static_cast<std::uint64_t>(100 + prec));
+    // Log-uniform magnitudes across the window and a decade past each
+    // end, both signs; and the same values as floats widened.
+    for (int i = 0; i < 200'000; ++i) {
+      const double v = std::pow(10.0, -6.0 + 16.0 * rng.uniform());
+      const double signed_v = (i & 1) != 0 ? -v : v;
+      bad += count_to_chars_mismatches(prec, signed_v);
+      bad += count_to_chars_mismatches(
+          prec, static_cast<double>(static_cast<float>(signed_v)));
+    }
+    // Exact ties: q / 2^j with q odd is q * 5^j / 10^j, whose last
+    // significant digit is a 5; with prec + 1 significant digits its
+    // rounding to prec digits is a .5 case. And its neighbours.
+    for (int j = 1; std::pow(5.0, j) < std::pow(10.0, prec + 1); ++j) {
+      const double q_lo = std::ceil(std::pow(10.0, prec) / std::pow(5.0, j));
+      const double q_hi = std::pow(10.0, prec + 1) / std::pow(5.0, j);
+      for (int i = 0; i < 2'000; ++i) {
+        double q = std::floor(q_lo + (q_hi - q_lo) * rng.uniform());
+        if (std::fmod(q, 2.0) == 0.0) q += 1.0;
+        if (q >= q_hi) continue;
+        for (const double v : around(std::ldexp(q, -j), 2)) {
+          bad += count_to_chars_mismatches(prec, v);
+          bad += count_to_chars_mismatches(prec, -v);
+        }
+      }
+    }
+    // Every power of ten from 1e-6 to 1e10, 4 ulps either side; and the
+    // values that round up into the next decade (to 10^prec digits).
+    for (int e = -6; e <= 10; ++e) {
+      const double p10 = std::pow(10.0, e);
+      for (const double v : around(p10, 4))
+        bad += count_to_chars_mismatches(prec, v);
+      const double carry = p10 * (1.0 - 5.0 * std::pow(10.0, -prec - 1));
+      for (const double v : around(carry, 4)) {
+        bad += count_to_chars_mismatches(prec, v);
+        bad += count_to_chars_mismatches(prec, -v);
+      }
+    }
+    for (const double v : around(std::pow(10.0, prec) - 0.5, 4))
+      bad += count_to_chars_mismatches(prec, v);
+    EXPECT_EQ(bad, 0) << "precision " << prec;
+  }
 }
 
 TEST(TextOut, AppendsIntegersAndTextInOrder) {
