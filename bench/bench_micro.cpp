@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: LUT lookup, full STA propagation (serial and
-// level-parallel), the slew-only filter propagation, GraphSAGE
-// inference and training epochs (1/2/4 threads), the GNN GEMM kernels
-// (both bodies), feature extraction, ILM extraction, merging, one %.9g
-// conversion, .macro formatting and the incremental TS evaluation loop.
+// level-parallel), one cache-missing serving query, the slew-only filter
+// propagation, GraphSAGE inference and training epochs (1/2/4 threads),
+// the GNN GEMM kernels (both bodies), feature extraction, ILM
+// extraction, merging, one %.9g conversion, .macro formatting and the
+// incremental TS evaluation loop.
 //
 // BM_SpeedupRecords times the TS loop full vs incremental
 // (`speedup_incremental`) and serial vs parallel full STA on a large
@@ -18,7 +19,10 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "flow/framework.hpp"
@@ -31,6 +35,9 @@
 #include "obs/sliding_window.hpp"
 #include "obs/trace.hpp"
 #include "sensitivity/ts_eval.hpp"
+#include "serve/evaluator.hpp"
+#include "serve/registry.hpp"
+#include "serve/tmb.hpp"
 #include "util/instrument.hpp"
 #include "util/text_out.hpp"
 
@@ -314,6 +321,61 @@ void BM_TextOutDouble(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TextOutDouble)->ArgName("fast")->Arg(0)->Arg(1);
+
+// One cache-missing serving query: Evaluator::evaluate with the cache
+// bypassed, on a macro the size perfbench's serve workload serves. The
+// smallest scale-100 testing design goes through run_design (the filter
+// picks the kept pins, so no trained GNN is needed), is packed to .tmb
+// and loaded back the way `tmm serve` loads it. Queries cycle over 16
+// random constraint sets; `pins` is the macro's live pin count.
+void BM_ServeMiss(benchmark::State& state) {
+  struct Fixture {
+    serve::ModelRegistry registry;
+    std::string name;
+    std::vector<BoundaryConstraints> sets;
+  };
+  // Built on first use and never freed: it outlives every run.
+  static const Fixture& fx = *[] {
+    auto* f = new Fixture;
+    std::vector<SuiteEntry> suite = tau_testing_suite(lib(), 100);
+    const SuiteEntry& smallest = *std::min_element(
+        suite.begin(), suite.end(), [](const auto& a, const auto& b) {
+          return a.tau_pins < b.tau_pins;
+        });
+    FlowConfig cfg;
+    cfg.label_all_remained = true;
+    Framework fw(cfg);
+    const MacroModel model =
+        fw.run_design(generate_design(lib(), smallest.cfg)).model;
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("bench_micro_serve_miss_" + std::to_string(::getpid()) + ".tmb");
+    serve::write_tmb_file(model, path.string());
+    f->registry.load_file(path.string());
+    std::filesystem::remove(path);
+    f->name = model.design_name;
+    Rng rng(24);
+    for (int i = 0; i < 16; ++i)
+      f->sets.push_back(random_constraints(
+          model.graph.primary_inputs().size(),
+          model.graph.primary_outputs().size(), {}, rng));
+    return f;
+  }();
+  serve::Evaluator eval(fx.registry, {});
+  serve::Evaluator::Scratch scratch;
+  BoundarySnapshot out;
+  // Warm up: the first query builds the worker's engine for the model.
+  eval.evaluate(fx.name, fx.sets[0], out, scratch, /*bypass_cache=*/true);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    eval.evaluate(fx.name, fx.sets[k++ % fx.sets.size()], out, scratch,
+                  /*bypass_cache=*/true);
+    benchmark::DoNotOptimize(out.at.data());
+  }
+  state.counters["pins"] = static_cast<double>(
+      fx.registry.find(fx.name)->model.graph.num_live_nodes());
+}
+BENCHMARK(BM_ServeMiss)->Unit(benchmark::kMicrosecond);
 
 // The .macro text of one model the size perfbench's generate workload
 // writes: the largest scale-1000 testing design (leon2_iccad_eval)

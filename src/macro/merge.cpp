@@ -232,9 +232,9 @@ void materialize_chains(TimingGraph& g, const ChainMap& chains,
                                ? ArcSense::kNegativeUnate
                                : ArcSense::kPositiveUnate;
     ComposedTables ct = compose_chain(chain, first, cfg.index, cfg.aocv);
+    const ElRf<Lut>* own_delay = g.own_tables(std::move(ct.delay));
+    g.set_cell_tables(id, own_delay, g.own_tables(std::move(ct.out_slew)));
     GraphArc& arc = g.arc(id);
-    arc.delay = g.own_tables(std::move(ct.delay));
-    arc.out_slew = g.own_tables(std::move(ct.out_slew));
     arc.kind = GraphArcKind::kCell;
     arc.sense = first;
     arc.baked_derate = true;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <queue>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +24,32 @@ constexpr std::size_t idx(NodeId n, unsigned el, unsigned rf) {
 constexpr bool dominates(unsigned el, double cand, double cur) {
   return el == kLate ? cand > cur : cand < cur;
 }
+
+/// Grid positions for evaluating one cell arc's tables at a fixed load.
+/// A one_grid arc locates the load once here and each slew once in
+/// slew_pos(), on delay(0, 0)'s axes, and every table reuses them; any
+/// other arc locates per table on that table's own axes (lookup). Both
+/// evaluate Lut::at(locate(slew), locate(load)) of the table, so which
+/// way an arc goes never changes a bit.
+class ArcGrid {
+ public:
+  ArcGrid(const GraphArc& arc, double load) : arc_(arc), load_(load) {
+    if (arc.one_grid) c_ = Lut::locate((*arc.delay)(0, 0).load_index(), load);
+  }
+  Lut::Pos slew_pos(double slew) const noexcept {
+    return arc_.one_grid ? Lut::locate((*arc_.delay)(0, 0).slew_index(), slew)
+                         : Lut::Pos{};
+  }
+  /// The table's value at (slew, load); `s` is slew_pos(slew).
+  double eval(const Lut& t, Lut::Pos s, double slew) const noexcept {
+    return arc_.one_grid ? t.at(s, c_) : t.lookup(slew, load_);
+  }
+
+ private:
+  const GraphArc& arc_;
+  double load_;
+  Lut::Pos c_;
+};
 
 /// Nodes per task-pool chunk in the level-parallel passes. A node's
 /// relaxation is a handful of LUT lookups (~a microsecond for typical
@@ -118,7 +143,6 @@ void Sta::ensure_topology() {
 void Sta::run(const BoundaryConstraints& bc) {
   obs::Span span("sta.run");
   g_runs.add();
-  g_nodes_propagated.add(graph_->num_live_nodes());
   const std::size_t n = graph_->num_nodes();
   store_.assign_nodes(n);
   preds_.assign(n * TimingStore::kLanes, Pred{});
@@ -146,6 +170,9 @@ void Sta::run(const BoundaryConstraints& bc) {
     span.set_arg("threads", static_cast<double>(par));
   }
   ensure_topology();
+  // topo_order() throws unless it covers every live node, so the level
+  // schedule holds exactly the live nodes.
+  g_nodes_propagated.add(topo_.level_nodes.size());
   forward(bc, par);
   seed_backward(bc, par);
   backward(par);
@@ -172,8 +199,11 @@ void Sta::check_numeric() const {
         }
       }
   };
-  for (NodeId u : graph_->primary_inputs()) scan(u);
-  for (NodeId u : graph_->primary_outputs()) scan(u);
+  // Ordinal gaps leave kInvalidId holes in the port lists.
+  for (NodeId u : graph_->primary_inputs())
+    if (u != kInvalidId) scan(u);
+  for (NodeId u : graph_->primary_outputs())
+    if (u != kInvalidId) scan(u);
 }
 
 void Sta::forward(const BoundaryConstraints& bc, std::size_t par) {
@@ -233,7 +263,7 @@ void Sta::relax_forward_node(NodeId v, const BoundaryConstraints& bc,
         }
       }
     } else {
-      const double load = eff_load_[v];
+      const ArcGrid grid(a, eff_load_[v]);
       for (unsigned el = 0; el < kNumEl; ++el) {
         const double derate =
             a.baked_derate
@@ -242,11 +272,12 @@ void Sta::relax_forward_node(NodeId v, const BoundaryConstraints& bc,
         for (unsigned irf = 0; irf < kNumRf; ++irf) {
           const double su = store_.slew[ub + el * kNumRf + irf];
           if (!std::isfinite(su)) continue;
+          const Lut::Pos s = grid.slew_pos(su);
           const unsigned mask = output_transitions(a.sense, irf);
           for (unsigned orf = 0; orf < kNumRf; ++orf) {
             if (!(mask & (1u << orf))) continue;
-            const double d = (*a.delay)(el, orf).lookup(su, load) * derate;
-            const double so = (*a.out_slew)(el, orf).lookup(su, load);
+            const double d = grid.eval((*a.delay)(el, orf), s, su) * derate;
+            const double so = grid.eval((*a.out_slew)(el, orf), s, su);
             if (dominates(el, so, store_.slew[idx(v, el, orf)]))
               store_.slew[idx(v, el, orf)] = so;
             const double atu = store_.at[ub + el * kNumRf + irf];
@@ -282,26 +313,29 @@ double Sta::cppr_credit(NodeId launch_ck, NodeId capture_ck) const {
   if (launch_ck == kInvalidId || capture_ck == kInvalidId) return 0.0;
   // Ancestors of the capture clock pin along its (early, rise) worst
   // path up to the clock root (clock networks are trees in practice;
-  // the pred chain is exactly the root-to-pin path).
-  std::unordered_set<NodeId> capture_chain;
+  // the pred chain is exactly the root-to-pin path), sorted for
+  // membership tests. Per thread: check seeding may run on the pool.
+  thread_local std::vector<NodeId> capture_chain;
+  capture_chain.clear();
   {
     NodeId u = capture_ck;
     unsigned rf = kRise;
-    capture_chain.insert(u);
+    capture_chain.push_back(u);
     for (std::size_t steps = 0; steps <= graph_->num_nodes(); ++steps) {
       const Pred p = preds_[idx(u, kEarly, rf)];
       if (p.arc == kInvalidId) break;
       u = graph_->arc(p.arc).from;
       rf = p.from_rf;
-      capture_chain.insert(u);
+      capture_chain.push_back(u);
     }
   }
+  std::sort(capture_chain.begin(), capture_chain.end());
   // Walk up from the launch clock pin; the first node also on the
   // capture chain is the branch point (LCA).
   NodeId u = launch_ck;
   unsigned rf = kRise;
   for (std::size_t steps = 0; steps <= graph_->num_nodes(); ++steps) {
-    if (capture_chain.count(u)) {
+    if (std::binary_search(capture_chain.begin(), capture_chain.end(), u)) {
       const double late = store_.at[idx(u, kLate, rf)];
       const double early = store_.at[idx(u, kEarly, rf)];
       if (!std::isfinite(late) || !std::isfinite(early)) return 0.0;
@@ -412,7 +446,7 @@ void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
           store_.rat[idx(u, kEarly, rf)] = re - a.wire_delay_ps;
       }
     } else {
-      const double load = eff_load_[a.to];
+      const ArcGrid grid(a, eff_load_[a.to]);
       for (unsigned el = 0; el < kNumEl; ++el) {
         const double derate =
             a.baked_derate
@@ -421,12 +455,13 @@ void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
         for (unsigned irf = 0; irf < kNumRf; ++irf) {
           const double su = store_.slew[idx(u, el, irf)];
           if (!std::isfinite(su)) continue;
+          const Lut::Pos s = grid.slew_pos(su);
           const unsigned mask = output_transitions(a.sense, irf);
           for (unsigned orf = 0; orf < kNumRf; ++orf) {
             if (!(mask & (1u << orf))) continue;
             const double rv = store_.rat[idx(a.to, el, orf)];
             if (!std::isfinite(rv)) continue;
-            const double d = (*a.delay)(el, orf).lookup(su, load) * derate;
+            const double d = grid.eval((*a.delay)(el, orf), s, su) * derate;
             const double cand = rv - d;
             if (el == kLate) {
               if (cand < store_.rat[idx(u, kLate, irf)])

@@ -1,12 +1,38 @@
 #include "sta/timing_graph.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
 
 namespace tmm {
+
+namespace {
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// GraphArc::one_grid of an arc with these tables: every table has the
+/// slew and load axes of delay(0, 0), compared bit for bit so that -0
+/// and +0 knots, which locate with differently signed weights, differ.
+bool shares_one_grid(const ElRf<Lut>* delay,
+                     const ElRf<Lut>* out_slew) noexcept {
+  if (delay == nullptr || out_slew == nullptr) return false;
+  const Lut& ref = (*delay)(0, 0);
+  for (const ElRf<Lut>* t : {delay, out_slew})
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf)
+        if (!same_bits((*t)(el, rf).slew_index(), ref.slew_index()) ||
+            !same_bits((*t)(el, rf).load_index(), ref.load_index()))
+          return false;
+  return true;
+}
+
+}  // namespace
 
 NodeId TimingGraph::add_node(GraphNode node) {
   invalidate();
@@ -26,6 +52,7 @@ ArcId TimingGraph::add_cell_arc(NodeId from, NodeId to, ArcSense sense,
   a.is_launch = is_launch;
   a.delay = delay;
   a.out_slew = out_slew;
+  a.one_grid = shares_one_grid(delay, out_slew);
   arcs_.push_back(a);
   return static_cast<ArcId>(arcs_.size() - 1);
 }
@@ -40,6 +67,14 @@ ArcId TimingGraph::add_wire_arc(NodeId from, NodeId to, double delay_ps) {
   a.wire_delay_ps = delay_ps;
   arcs_.push_back(a);
   return static_cast<ArcId>(arcs_.size() - 1);
+}
+
+void TimingGraph::set_cell_tables(ArcId a, const ElRf<Lut>* delay,
+                                  const ElRf<Lut>* out_slew) {
+  GraphArc& arc = arcs_.at(a);
+  arc.delay = delay;
+  arc.out_slew = out_slew;
+  arc.one_grid = shares_one_grid(delay, out_slew);
 }
 
 std::uint32_t TimingGraph::add_check(NodeId clock, NodeId data, bool is_setup,
@@ -128,6 +163,7 @@ ArcId TimingGraph::delta_add_cell_arc(NodeId from, NodeId to, ArcSense sense,
   a.is_launch = is_launch;
   a.delay = delay;
   a.out_slew = out_slew;
+  a.one_grid = shares_one_grid(delay, out_slew);
   arcs_.push_back(a);
   const ArcId id = static_cast<ArcId>(arcs_.size() - 1);
   if (adjacency_valid_) {

@@ -62,6 +62,12 @@ struct GraphArc {
   /// (re-characterized merged arcs, ETM arcs, reloaded models); the
   /// engine must not derate such arcs again.
   bool baked_derate = false;
+  /// True when all 16 tables share, bit for bit, the slew axis and the
+  /// load axis of delay(0, 0), so the engine locates a coordinate once
+  /// per arc instead of once per table. Derived from the tables by
+  /// every TimingGraph mutator that sets them; false for wire arcs, for
+  /// null tables and for arcs built outside a TimingGraph.
+  bool one_grid = false;
   /// NLDM tables for cell arcs (null for wire arcs). Tables map
   /// (slew at `from`, load at `to`) -> delay / slew at `to`; 1-D tables
   /// ignore load (interior merged arcs with statically folded loads).
@@ -87,6 +93,10 @@ class TimingGraph {
                      const ElRf<Lut>* delay, const ElRf<Lut>* out_slew,
                      bool is_launch = false);
   ArcId add_wire_arc(NodeId from, NodeId to, double delay_ps);
+  /// Point a cell arc at new tables (re-characterization), keeping
+  /// GraphArc::one_grid in step. Structure and caches are untouched.
+  void set_cell_tables(ArcId a, const ElRf<Lut>* delay,
+                       const ElRf<Lut>* out_slew);
   std::uint32_t add_check(NodeId clock, NodeId data, bool is_setup,
                           const ElRf<Lut>* guard);
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "liberty/library_gen.hpp"
 #include "liberty/lut.hpp"
 #include "util/rng.hpp"
@@ -145,6 +150,185 @@ TEST(InterpSegment, FindsEnclosingSegment) {
   EXPECT_EQ(interp::segment(axis, 3.0), 1u);
   EXPECT_EQ(interp::segment(axis, 5.0), 2u);
   EXPECT_EQ(interp::segment(axis, 100.0), 2u);
+}
+
+// --- exactness of locate/at -------------------------------------------
+//
+// Lut::lookup, interp::linear and the engine's shared-grid path all
+// evaluate at(locate(slew), locate(load)). These tests pin that form,
+// and the branchless interp::segment, bit for bit against a copy of the
+// binary-search lookup it replaced.
+
+namespace ref {
+
+std::size_t segment(std::span<const double> axis, double x) {
+  std::size_t lo = 0;
+  std::size_t hi = axis.size() - 2;
+  if (x <= axis[0]) return 0;
+  if (x >= axis[axis.size() - 2]) return axis.size() - 2;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi + 1) / 2;
+    if (axis[mid] <= x)
+      lo = mid;
+    else
+      hi = mid - 1;
+  }
+  return lo;
+}
+
+double linear(std::span<const double> axis, std::span<const double> y,
+              double x) {
+  const std::size_t i = segment(axis, x);
+  const double x0 = axis[i];
+  const double x1 = axis[i + 1];
+  const double t = (x - x0) / (x1 - x0);
+  return y[i] + t * (y[i + 1] - y[i]);
+}
+
+double lookup(const Lut& l, double slew, double load) {
+  const auto si = l.slew_index();
+  const auto li = l.load_index();
+  const auto v = l.values();
+  if (l.is_scalar()) return v.empty() ? 0.0 : v[0];
+  if (l.is_1d()) return linear(si, v, slew);
+  const std::size_t nj = li.size();
+  const std::size_t i = segment(si, slew);
+  const std::size_t j = segment(li, load);
+  const double ts = (slew - si[i]) / (si[i + 1] - si[i]);
+  const double tc = (load - li[j]) / (li[j + 1] - li[j]);
+  const double v00 = v[i * nj + j];
+  const double v01 = v[i * nj + j + 1];
+  const double v10 = v[(i + 1) * nj + j];
+  const double v11 = v[(i + 1) * nj + j + 1];
+  const double a = v00 + tc * (v01 - v00);
+  const double b = v10 + tc * (v11 - v10);
+  return a + ts * (b - a);
+}
+
+}  // namespace ref
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Probe coordinates for an axis: every knot, the midpoints, points
+/// outside the grid on both sides, and the IEEE special values.
+std::vector<double> probes(std::span<const double> axis) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs{0.0,
+                         -0.0,
+                         inf,
+                         -inf,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::denorm_min(),
+                         -std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min() / 4,
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::max(),
+                         1e-300,
+                         3.7};
+  for (std::size_t k = 0; k < axis.size(); ++k) {
+    xs.push_back(axis[k]);
+    xs.push_back(std::nextafter(axis[k], inf));
+    xs.push_back(std::nextafter(axis[k], -inf));
+    if (k + 1 < axis.size()) xs.push_back(0.5 * (axis[k] + axis[k + 1]));
+  }
+  if (!axis.empty()) {
+    const double span = axis.back() - axis.front();
+    xs.push_back(axis.front() - 0.3 * span);
+    xs.push_back(axis.back() + 0.7 * span);
+    xs.push_back(axis.back() * 100);
+  }
+  return xs;
+}
+
+std::vector<Lut> exactness_tables() {
+  std::vector<Lut> tables{
+      Lut{},
+      Lut::scalar(3.5),
+      Lut::scalar(-0.0),
+      Lut::table1d({1, 2}, {10, -20}),
+      Lut::table1d({-1, 0, 0.5, 3, 9}, {0.0, -0.0, 1e-310, 4, 4}),
+      Lut::table2d({0, 2}, {0, 2}, {0, 2, 2, 4}),
+      Lut::table2d({-2, 0, 1.5}, {0.25, 1, 4, 16},
+                   {1, 2, 3, 4, -5, 6, 7, 8, 9, 10, 0, -0.0}),
+  };
+  LibraryGenConfig cfg;
+  DriveModel model;
+  ElRf<Lut> delay;
+  ElRf<Lut> slew;
+  characterize(model, cfg, delay, slew);
+  tables.push_back(delay(kLate, kRise));
+  tables.push_back(slew(kEarly, kFall));
+  return tables;
+}
+
+TEST(LutExact, SegmentMatchesBinarySearchBitForBit) {
+  const std::vector<std::vector<double>> axes{
+      {0, 1},
+      {-0.0, 1},
+      {1, 2, 4},
+      {1, 2, 4, 8},
+      {-3, -1, 0, 2.5, 7, 11, 40},
+      {1e-310, 1e-300, 1, 1e300},
+      {0.5, 1, 2, 4, 8, 16, 32, 64, 128}};
+  for (const auto& axis : axes)
+    for (double x : probes(axis))
+      EXPECT_EQ(interp::segment(axis, x), ref::segment(axis, x))
+          << "axis size " << axis.size() << " x=" << x;
+}
+
+TEST(LutExact, LookupMatchesBinarySearchLookupBitForBit) {
+  std::size_t compared = 0;
+  for (const Lut& l : exactness_tables()) {
+    std::vector<double> slews = probes(l.slew_index());
+    std::vector<double> loads = probes(l.load_index());
+    for (double s : slews)
+      for (double c : loads) {
+        const double want = ref::lookup(l, s, c);
+        ASSERT_EQ(bits(l.lookup(s, c)), bits(want))
+            << "slew=" << s << " load=" << c;
+        ASSERT_EQ(bits(l.at(Lut::locate(l.slew_index(), s),
+                            Lut::locate(l.load_index(), c))),
+                  bits(want))
+            << "slew=" << s << " load=" << c;
+        ++compared;
+      }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(LutExact, LinearMatchesBinarySearchLinearBitForBit) {
+  const std::vector<double> axis{-1, 0, 0.5, 3, 9};
+  const std::vector<double> y{0.0, -0.0, 1e-310, 4, -4};
+  for (double x : probes(axis))
+    EXPECT_EQ(bits(interp::linear(axis, y, x)), bits(ref::linear(axis, y, x)))
+        << "x=" << x;
+}
+
+TEST(LutExact, LocateOnEmptyAxisIsOrigin) {
+  const Lut::Pos p = Lut::locate({}, 42.0);
+  EXPECT_EQ(p.i, 0u);
+  EXPECT_EQ(bits(p.t), bits(0.0));
+}
+
+TEST(Lut, OneBufferKeepsAccessorsAndEquality) {
+  const Lut l = Lut::table2d({1, 2, 3}, {10, 20}, {1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(std::vector<double>(l.slew_index().begin(), l.slew_index().end()),
+            (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(std::vector<double>(l.load_index().begin(), l.load_index().end()),
+            (std::vector<double>{10, 20}));
+  EXPECT_EQ(std::vector<double>(l.values().begin(), l.values().end()),
+            (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(l.is_2d());
+  // Equality compares shape and contents.
+  const Lut a = Lut::table1d({1, 2}, {3, 4});
+  const Lut b = Lut::table2d({1, 2}, {3, 4}, {0, 0, 0, 0});
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(a == Lut::table1d({1, 2}, {3, 4}));
+  EXPECT_FALSE(a == Lut::table1d({1, 2}, {3, 5}));
+  EXPECT_TRUE(Lut{}.is_scalar());
+  EXPECT_TRUE(Lut{}.values().empty());
+  EXPECT_EQ(Lut{}.lookup(1, 1), 0.0);
 }
 
 // --- generated surfaces ----------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "macro/ilm.hpp"
+#include "obs/metrics.hpp"
 #include "sta/propagation.hpp"
 #include "test_helpers.hpp"
 
@@ -339,6 +340,51 @@ TEST(Sta, ReusedEngineMatchesFreshEngine) {
       diff_snapshots(reused.boundary_snapshot(), fresh.boundary_snapshot());
   EXPECT_DOUBLE_EQ(diff.max_abs, 0.0);
   EXPECT_EQ(diff.mismatched, 0u);
+}
+
+TEST(Sta, NumericCheckSkipsPortOrdinalGaps) {
+  // PI ordinal 1 with no ordinal 0: the PI list has a kInvalidId hole
+  // that the boundary NaN scan must step over.
+  TimingGraph g;
+  GraphNode a;
+  a.name = "a";
+  GraphNode b;
+  b.name = "b";
+  const NodeId na = g.add_node(a);
+  const NodeId nb = g.add_node(b);
+  g.set_primary_input(na, 1, false);
+  g.set_primary_output(nb, 0);
+  g.add_wire_arc(na, nb, 1.5);
+  ASSERT_EQ(g.primary_inputs().size(), 2u);
+  ASSERT_EQ(g.primary_inputs()[0], kInvalidId);
+  BoundaryConstraints bc;
+  bc.pi.resize(2);
+  bc.po.resize(1);
+  Sta sta(g);
+  EXPECT_NO_THROW(sta.run(bc));
+  EXPECT_EQ(sta.timing(nb).at(kLate, kRise), 1.5);
+}
+
+TEST(Sta, NodesPropagatedCountsLiveNodes) {
+  const Design d = test::make_small_design("count", 45);
+  TimingGraph g = build_timing_graph(d);
+  for (NodeId n = 0; n < g.num_nodes(); ++n)
+    if (g.node(n).role == NodeRole::kInternal && !g.node(n).is_ff_clock &&
+        !g.node(n).is_ff_data && !g.node(n).in_clock_network) {
+      g.kill_node(n);
+      break;
+    }
+  ASSERT_LT(g.num_live_nodes(), g.num_nodes());
+  Rng rng(6);
+  const BoundaryConstraints bc = random_constraints(
+      d.primary_inputs().size(), d.primary_outputs().size(), {}, rng);
+  const obs::Counter& counter = obs::counter("sta.nodes_propagated");
+  Sta sta(g);
+  for (int run = 0; run < 2; ++run) {  // fresh, then cached topology
+    const std::uint64_t before = counter.value();
+    sta.run(bc);
+    EXPECT_EQ(counter.value() - before, g.num_live_nodes()) << "run " << run;
+  }
 }
 
 TEST(Sta, TighterClockPeriodReducesSlack) {

@@ -61,6 +61,7 @@ void expect_graph_equal(const TimingGraph& a, const TimingGraph& b) {
     EXPECT_EQ(x.is_launch, y.is_launch) << "arc " << i;
     EXPECT_EQ(x.dead, y.dead) << "arc " << i;
     EXPECT_EQ(x.baked_derate, y.baked_derate) << "arc " << i;
+    EXPECT_EQ(x.one_grid, y.one_grid) << "arc " << i;
     EXPECT_EQ(x.wire_delay_ps, y.wire_delay_ps) << "arc " << i;
     EXPECT_EQ(x.delay, y.delay) << "arc " << i;
     EXPECT_EQ(x.out_slew, y.out_slew) << "arc " << i;
