@@ -96,7 +96,8 @@ class Lut {
 /// a space.
 void write_lut_text(util::TextOut& out, const Lut& lut);
 
-/// Piecewise-linear interpolation helpers shared with index selection.
+/// Piecewise-linear interpolation: the pieces every Lut lookup is built
+/// from.
 namespace interp {
 
 /// Find the interpolation segment for x in the ascending grid `axis`

@@ -9,8 +9,9 @@
 // at flip-flop data pins instead of propagating values.
 //
 // The graph is mutable (macro generation removes pins and splices in
-// re-characterized arcs); `compact()` drops dead nodes/arcs and the
-// lazily computed topological order is invalidated by any mutation.
+// re-characterized arcs); removed nodes and arcs stay in place, flagged
+// dead, and the lazily computed topological order is invalidated by any
+// mutation.
 
 #include <cmath>
 #include <deque>
