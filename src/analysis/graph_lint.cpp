@@ -15,6 +15,11 @@ namespace {
 /// transitions; those are legitimate table entries, not corruption.
 constexpr double kSentinelMagnitude = 1e200;
 
+/// L003 tolerates a backwards delay step up to
+/// max(kMonoAbsTolPs, kMonoRelTol * |value|); larger steps fire.
+constexpr double kMonoAbsTolPs = 1.0;
+constexpr double kMonoRelTol = 0.05;
+
 std::string node_ref(const TimingGraph& g, NodeId n) {
   std::string ref = "#";
   ref += std::to_string(n);
@@ -261,7 +266,7 @@ void lint_lut(const Lut& lut, const std::string& loc, LintReport& report) {
 /// delay surface: more load must not make the stage significantly
 /// faster. One finding per surface keeps the report readable.
 void lint_monotone(const Lut& lut, const std::string& loc,
-                   const GraphLintOptions& opt, LintReport& report) {
+                   LintReport& report) {
   if (!lut.is_2d()) return;
   const std::size_t nl = lut.load_index().size();
   const auto vals = lut.values();
@@ -275,7 +280,7 @@ void lint_monotone(const Lut& lut, const std::string& loc,
           std::abs(cur) >= kSentinelMagnitude)
         continue;
       const double tol =
-          std::max(opt.mono_abs_tol_ps, opt.mono_rel_tol * std::abs(prev));
+          std::max(kMonoAbsTolPs, kMonoRelTol * std::abs(prev));
       if (cur < prev - tol) {
         report.add(rule::kLutNonMonotone, Severity::kWarning, loc,
                    "re-characterized delay decreases by " +
@@ -290,8 +295,7 @@ void lint_monotone(const Lut& lut, const std::string& loc,
   }
 }
 
-void check_tables(const TimingGraph& g, const GraphLintOptions& opt,
-                  LintReport& report) {
+void check_tables(const TimingGraph& g, LintReport& report) {
   // Deduplicate by surface pointer: merged models share tables between
   // arcs, and the diagnostics should not repeat per user.
   std::map<const ElRf<Lut>*, std::string> seen;
@@ -304,8 +308,8 @@ void check_tables(const TimingGraph& g, const GraphLintOptions& opt,
             loc + (el == kEarly ? " [early/" : " [late/") +
             (rf == kRise ? "rise]" : "fall]");
         lint_lut((*t)(el, rf), surface_loc, report);
-        if (is_delay && opt.check_monotonicity && g.owns_tables(t))
-          lint_monotone((*t)(el, rf), surface_loc, opt, report);
+        if (is_delay && g.owns_tables(t))
+          lint_monotone((*t)(el, rf), surface_loc, report);
       }
     }
   };
@@ -324,7 +328,7 @@ void check_tables(const TimingGraph& g, const GraphLintOptions& opt,
 
 }  // namespace
 
-LintReport lint_graph(const TimingGraph& g, const GraphLintOptions& opt) {
+LintReport lint_graph(const TimingGraph& g) {
   LintReport report;
   // Out-of-range ids would make every other rule index out of bounds;
   // report them alone and stop.
@@ -337,12 +341,12 @@ LintReport lint_graph(const TimingGraph& g, const GraphLintOptions& opt) {
   check_boundary_side(g, report, g.primary_outputs(),
                       NodeRole::kPrimaryOutput, "PO");
   check_clock_reachability(g, report);
-  check_tables(g, opt, report);
+  check_tables(g, report);
   return report;
 }
 
-void expect_clean(const TimingGraph& g, const GraphLintOptions& opt) {
-  const LintReport report = lint_graph(g, opt);
+void expect_clean(const TimingGraph& g) {
+  const LintReport report = lint_graph(g);
   if (!report.clean())
     throw std::runtime_error("timing graph failed invariant check:\n" +
                              report.to_string());

@@ -16,22 +16,11 @@
 
 namespace tmm::analysis {
 
-struct GraphLintOptions {
-  /// Run the L003 gross delay-vs-load monotonicity check over owned
-  /// (re-characterized) tables.
-  bool check_monotonicity = true;
-  /// A backwards delay step is tolerated up to
-  /// max(mono_abs_tol_ps, mono_rel_tol * |value|); larger steps fire
-  /// L003.
-  double mono_abs_tol_ps = 1.0;
-  double mono_rel_tol = 0.05;
-};
-
 /// Run every graph rule (G*, B*, L*) and return the findings.
-LintReport lint_graph(const TimingGraph& g, const GraphLintOptions& opt = {});
+LintReport lint_graph(const TimingGraph& g);
 
 /// Test/assertion helper: throw std::runtime_error carrying the full
 /// report when lint_graph() finds any error-severity diagnostic.
-void expect_clean(const TimingGraph& g, const GraphLintOptions& opt = {});
+void expect_clean(const TimingGraph& g);
 
 }  // namespace tmm::analysis

@@ -80,15 +80,14 @@ void check_boundary_retention(const MacroModel& model, const Design& design,
 
 }  // namespace
 
-LintReport lint_model(const MacroModel& model, const GraphLintOptions& opt) {
-  LintReport report = lint_graph(model.graph, opt);
+LintReport lint_model(const MacroModel& model) {
+  LintReport report = lint_graph(model.graph);
   check_baked_derate(model.graph, report);
   return report;
 }
 
-LintReport lint_model_against(const MacroModel& model, const Design& design,
-                              const GraphLintOptions& opt) {
-  LintReport report = lint_model(model, opt);
+LintReport lint_model_against(const MacroModel& model, const Design& design) {
+  LintReport report = lint_model(model);
   check_boundary_retention(model, design, report);
   return report;
 }

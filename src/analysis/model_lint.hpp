@@ -11,13 +11,11 @@
 namespace tmm::analysis {
 
 /// Graph rules on model.graph plus the model-only M* rules.
-LintReport lint_model(const MacroModel& model,
-                      const GraphLintOptions& opt = {});
+LintReport lint_model(const MacroModel& model);
 
 /// lint_model() plus M001 boundary-retention checks against the design
 /// the model was generated from: every PI/PO of the design must survive
 /// in the model at the same ordinal with the same name.
-LintReport lint_model_against(const MacroModel& model, const Design& design,
-                              const GraphLintOptions& opt = {});
+LintReport lint_model_against(const MacroModel& model, const Design& design);
 
 }  // namespace tmm::analysis

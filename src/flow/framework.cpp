@@ -325,24 +325,22 @@ DesignResult Framework::run_baseline(const obs::Span& root,
   return result;
 }
 
-DesignResult Framework::run_itimerm(const Design& design,
-                                    const ITimerMConfig& cfg) {
+DesignResult Framework::run_itimerm(const Design& design) {
   obs::Span span("flow.run_itimerm");
-  ITimerMConfig effective = cfg;
-  effective.protect_cppr = cfg_.cppr;
-  effective.merge.aocv = cfg_.aocv;
+  ITimerMConfig cfg;
+  cfg.protect_cppr = cfg_.cppr;
+  cfg.merge.aocv = cfg_.aocv;
   return run_baseline(span, design,
                       [&](const TimingGraph& flat, GenerationStats* gen) {
-                        return generate_itimerm_model(flat, effective, gen);
+                        return generate_itimerm_model(flat, cfg, gen);
                       });
 }
 
-DesignResult Framework::run_libabs(const Design& design,
-                                   const LibAbsConfig& cfg) {
+DesignResult Framework::run_libabs(const Design& design) {
   obs::Span span("flow.run_libabs");
   return run_baseline(span, design,
                       [&](const TimingGraph& flat, GenerationStats* gen) {
-                        return generate_libabs_model(flat, cfg, gen);
+                        return generate_libabs_model(flat, gen);
                       });
 }
 

@@ -170,9 +170,8 @@ class Framework {
   DesignResult run_design(const Design& design);
 
   /// Baseline runs through the identical evaluation harness.
-  DesignResult run_itimerm(const Design& design,
-                           const ITimerMConfig& cfg = {});
-  DesignResult run_libabs(const Design& design, const LibAbsConfig& cfg = {});
+  DesignResult run_itimerm(const Design& design);
+  DesignResult run_libabs(const Design& design);
   DesignResult run_etm(const Design& design, const EtmConfig& cfg = {});
 
   /// Normalization scale for regression targets (p95 of positive TS

@@ -19,6 +19,12 @@ obs::Counter& g_mapped_designs = obs::counter("frontend.mapped_designs");
 obs::Counter& g_mapped_gates = obs::counter("frontend.mapped_gates");
 obs::Counter& g_synth_cells = obs::counter("frontend.synthesized_cells");
 
+// Net parasitics are synthesized from fanout with fixed coefficients so
+// re-imports are bit-stable (the frontend has no placement data).
+constexpr double kWireCapFf = 2.0;         ///< base lumped wire cap per net
+constexpr double kWireCapFanoutFf = 0.35;  ///< extra wire cap per sink
+constexpr double kWireResKohm = 0.18;      ///< driver->sink Elmore resistance
+
 [[noreturn]] void map_fail(const std::string& where, const std::string& msg) {
   throw fault::FlowError(fault::ErrorCode::kParse, "frontend.map",
                          where + ": " + msg);
@@ -294,19 +300,18 @@ struct Mapper {
       return it->second;
     };
     for (const SinkRef& s : sinks) {
-      design.connect_sink(net_for(s.net, flat.source), s.pin,
-                          cfg.wire_res_kohm);
+      design.connect_sink(net_for(s.net, flat.source), s.pin, kWireResKohm);
       ++fanout[s.net];
     }
     for (std::size_t i = 0; i < flat.outputs.size(); ++i) {
       design.connect_sink(net_for(flat.outputs[i], flat.source),
-                          design.port(po_ports[i]).pin, cfg.wire_res_kohm);
+                          design.port(po_ports[i]).pin, kWireResKohm);
       ++fanout[flat.outputs[i]];
     }
     for (const auto& [name, nid] : net_of)
-      design.set_wire_cap(nid, cfg.wire_cap_ff +
-                                   cfg.wire_cap_fanout_ff *
-                                       static_cast<double>(fanout[name]));
+      design.set_wire_cap(
+          nid, kWireCapFf +
+                   kWireCapFanoutFf * static_cast<double>(fanout[name]));
 
     stats.flat_prims = flat.prims.size();
     stats.gates = design.num_gates();

@@ -31,11 +31,6 @@ struct FrontendConfig {
   std::string clock;
   /// Output design name override (empty = top model name).
   std::string design_name;
-  // Net parasitics are synthesized from fanout with fixed coefficients
-  // so re-imports are bit-stable (the frontend has no placement data).
-  double wire_cap_ff = 2.0;          ///< base lumped wire cap per net
-  double wire_cap_fanout_ff = 0.35;  ///< extra wire cap per sink
-  double wire_res_kohm = 0.18;       ///< driver->sink Elmore resistance
 };
 
 /// What an import did — surfaced by `tmm import` and the obs counters.

@@ -12,6 +12,9 @@ namespace tmm {
 namespace {
 
 constexpr int kPrecision = 6;
+/// Units recorded in the header: the library's tables are in ps and fF.
+constexpr const char* kTimeUnit = "1ps";
+constexpr const char* kCapUnit = "1ff";
 
 std::string join(std::span<const double> values) {
   util::TextOut out(kPrecision);
@@ -74,8 +77,8 @@ std::size_t write_liberty(const Library& lib, std::ostream& os,
   const char* corner = opt.el == kLate ? "late" : "early";
   buf << "library (" << lib.name() << "_" << corner << ") {\n";
   buf << "  delay_model : table_lookup;\n";
-  buf << "  time_unit : \"" << opt.time_unit << "\";\n";
-  buf << "  capacitive_load_unit (1, " << opt.cap_unit << ");\n\n";
+  buf << "  time_unit : \"" << kTimeUnit << "\";\n";
+  buf << "  capacitive_load_unit (1, " << kCapUnit << ");\n\n";
 
   // Collect the distinct table templates used by this corner.
   std::map<std::string, std::pair<std::string, const Lut*>> templates;

@@ -17,9 +17,6 @@ namespace tmm {
 struct LibertyWriteOptions {
   /// Which corner's tables to emit (Liberty files are per-corner).
   unsigned el = kLate;
-  /// Nominal units recorded in the header.
-  const char* time_unit = "1ps";
-  const char* cap_unit = "1ff";
 };
 
 /// Emit the library in Liberty syntax; returns bytes written.

@@ -73,16 +73,6 @@ Lut Lut::table2d(std::vector<double> slew_index, std::vector<double> load_index,
   return l;
 }
 
-namespace interp {
-
-double linear(std::span<const double> axis, std::span<const double> y,
-              double x) noexcept {
-  const Lut::Pos p = Lut::locate(axis, x);
-  return lerp(y[p.i], y[p.i + 1], p.t);
-}
-
-}  // namespace interp
-
 void write_lut_text(util::TextOut& out, const Lut& lut) {
   out << lut.slew_index().size() << ' ' << lut.load_index().size() << '\n';
   for (double v : lut.slew_index()) out << v << ' ';

@@ -118,10 +118,6 @@ inline double lerp(double y0, double y1, double t) noexcept {
   return y0 + t * (y1 - y0);
 }
 
-/// 1-D linear interpolation/extrapolation of y(axis) at x.
-double linear(std::span<const double> axis, std::span<const double> y,
-              double x) noexcept;
-
 }  // namespace interp
 
 inline Lut::Pos Lut::locate(std::span<const double> axis, double x) noexcept {

@@ -8,6 +8,11 @@ namespace tmm {
 
 namespace {
 
+/// Conditions of the ports that are not being characterized.
+constexpr double kNominalSlewPs = 10.0;
+constexpr double kNominalLoadFf = 4.0;
+constexpr double kNominalPeriodPs = 1000.0;
+
 /// Inactive boundary seeds: -inf/late, +inf/early — nothing propagates.
 void deactivate_pi(PiConstraint& p) {
   for (unsigned rf = 0; rf < kNumRf; ++rf) {
@@ -99,12 +104,12 @@ MacroModel generate_etm_model(const TimingGraph& flat, const EtmConfig& cfg,
 
   auto base_constraints = [&]() {
     BoundaryConstraints bc;
-    bc.clock_period_ps = cfg.nominal_period_ps;
+    bc.clock_period_ps = kNominalPeriodPs;
     bc.pi.resize(npi);
     for (auto& p : bc.pi) deactivate_pi(p);
     bc.po.resize(npo);
     for (auto& p : bc.po) {
-      p.load_ff = cfg.nominal_load_ff;
+      p.load_ff = kNominalLoadFf;
       for (unsigned rf = 0; rf < kNumRf; ++rf) {
         p.rat(kLate, rf) = kInf;    // no PO-side constraint during
         p.rat(kEarly, rf) = -kInf;  // characterization
@@ -135,7 +140,7 @@ MacroModel generate_etm_model(const TimingGraph& flat, const EtmConfig& cfg,
         for (std::size_t li = 0; li < nl; ++li) {
           BoundaryConstraints bc = base_constraints();
           for (std::uint32_t o = 0; o < npi; ++o)
-            if (o != p) seed_slew_only(bc.pi[o], cfg.nominal_slew_ps);
+            if (o != p) seed_slew_only(bc.pi[o], kNominalSlewPs);
           activate_pi_rf(bc.pi[p], cfg.slew_samples[si], irf);
           for (auto& po : bc.po) po.load_ff = cfg.load_samples[li];
           sta.run(bc);
@@ -187,7 +192,7 @@ MacroModel generate_etm_model(const TimingGraph& flat, const EtmConfig& cfg,
   auto all_nominal = [&]() {
     BoundaryConstraints bc = base_constraints();
     for (std::uint32_t p = 0; p < npi; ++p)
-      activate_pi(bc.pi[p], cfg.nominal_slew_ps);
+      activate_pi(bc.pi[p], kNominalSlewPs);
     return bc;
   };
 
@@ -221,7 +226,7 @@ MacroModel generate_etm_model(const TimingGraph& flat, const EtmConfig& cfg,
     BoundaryConstraints bc = base_constraints();
     for (std::uint32_t p = 0; p < npi; ++p)
       activate_pi(bc.pi[p],
-                  p == clk_ordinal ? cfg.slew_samples[si] : cfg.nominal_slew_ps);
+                  p == clk_ordinal ? cfg.slew_samples[si] : kNominalSlewPs);
     record_rel_for(bc, si, kInvalidId, rel_setup_ck, rel_hold_ck);
   }
 

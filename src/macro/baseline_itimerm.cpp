@@ -7,19 +7,27 @@
 
 namespace tmm {
 
+namespace {
+
+constexpr double kSlewMinPs = 2.0;   ///< min boundary slew propagated
+constexpr double kSlewMaxPs = 60.0;  ///< max boundary slew propagated
+/// Slew-range threshold above which a pin is kept.
+constexpr double kTolerancePs = 0.4;
+constexpr double kPoLoadFf = 4.0;
+
+}  // namespace
+
 std::vector<bool> itimerm_keep_set(const TimingGraph& ilm,
                                    const ITimerMConfig& cfg) {
-  const auto slew_lo =
-      propagate_slew_only(ilm, cfg.slew_min_ps, cfg.po_load_ff);
-  const auto slew_hi =
-      propagate_slew_only(ilm, cfg.slew_max_ps, cfg.po_load_ff);
+  const auto slew_lo = propagate_slew_only(ilm, kSlewMinPs, kPoLoadFf);
+  const auto slew_hi = propagate_slew_only(ilm, kSlewMaxPs, kPoLoadFf);
   std::vector<bool> keep(ilm.num_nodes(), false);
   for (NodeId n = 0; n < ilm.num_nodes(); ++n) {
     if (ilm.node(n).dead) continue;
     const double lo = slew_lo[n];
     const double hi = slew_hi[n];
     if (!std::isfinite(lo) || !std::isfinite(hi)) continue;
-    if (hi - lo > cfg.tolerance_ps) keep[n] = true;
+    if (hi - lo > kTolerancePs) keep[n] = true;
   }
   if (cfg.protect_cppr) {
     for (NodeId n = 0; n < ilm.num_nodes(); ++n) {

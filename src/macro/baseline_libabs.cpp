@@ -4,6 +4,13 @@
 
 namespace tmm {
 
+namespace {
+
+/// LUT resolution for merged chain arcs.
+constexpr std::size_t kGridPoints = 7;
+
+}  // namespace
+
 std::vector<bool> libabs_keep_set(const TimingGraph& ilm) {
   // Tree-based reduction: the roots and leaves of maximal in-/out-trees
   // are exactly the pins with fanin > 1 or fanout > 1; chain interiors
@@ -18,7 +25,6 @@ std::vector<bool> libabs_keep_set(const TimingGraph& ilm) {
 }
 
 MacroModel generate_libabs_model(const TimingGraph& flat,
-                                 const LibAbsConfig& cfg,
                                  GenerationStats* stats) {
   Stopwatch sw;
   IlmResult ilm = extract_ilm(flat);
@@ -31,7 +37,7 @@ MacroModel generate_libabs_model(const TimingGraph& flat,
   // original algorithm's form-based reduction (its accuracy gap in
   // Table 3 comes from exactly this).
   MergeConfig merge;
-  merge.index.max_points = cfg.grid_points;
+  merge.index.max_points = kGridPoints;
   merge.index.tolerance_ps = 0.0;
   merge.index.error_driven = false;
   merge_insensitive_pins(ilm.graph, keep, merge);

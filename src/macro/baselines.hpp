@@ -24,18 +24,14 @@ namespace tmm {
 
 // ---------------------------------------------------------------- iTimerM
 struct ITimerMConfig {
-  double slew_min_ps = 2.0;   ///< min boundary slew propagated
-  double slew_max_ps = 60.0;  ///< max boundary slew propagated
-  double tolerance_ps = 0.4;  ///< slew-range threshold for keeping a pin
-  double po_load_ff = 4.0;
   /// Keep multi-fanout clock-network pins (iTimerC-style CPPR support);
   /// enabled by the flow when analyzing in CPPR mode.
   bool protect_cppr = true;
   MergeConfig merge;
 };
 
-/// Keep-set over the ILM graph: pins whose min/max slew range exceeds
-/// the tolerance.
+/// Keep-set over the ILM graph: pins whose slew range, propagated from
+/// a 2 ps and a 60 ps boundary slew, exceeds 0.4 ps.
 std::vector<bool> itimerm_keep_set(const TimingGraph& ilm,
                                    const ITimerMConfig& cfg);
 
@@ -44,25 +40,20 @@ MacroModel generate_itimerm_model(const TimingGraph& flat,
                                   GenerationStats* stats = nullptr);
 
 // ---------------------------------------------------------------- LibAbs
-struct LibAbsConfig {
-  /// LUT resolution for merged chain arcs; indices are placed evenly
-  /// (form-based reduction has no error-driven selection step).
-  std::size_t grid_points = 7;
-};
-
 std::vector<bool> libabs_keep_set(const TimingGraph& ilm);
 
+/// Merged chain arcs get 7-point LUT grids placed evenly (form-based
+/// reduction has no error-driven selection step).
 MacroModel generate_libabs_model(const TimingGraph& flat,
-                                 const LibAbsConfig& cfg = {},
                                  GenerationStats* stats = nullptr);
 
 // ------------------------------------------------------------------- ATM
+/// Characterization grids of the port-to-port arcs. The ports that are
+/// not being characterized sit at a nominal 10 ps slew and 4 fF load,
+/// under a 1000 ps clock period.
 struct EtmConfig {
   std::vector<double> slew_samples{2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 100.0};
   std::vector<double> load_samples{1.0, 4.0, 8.0, 12.0};
-  double nominal_slew_ps = 10.0;
-  double nominal_load_ff = 4.0;
-  double nominal_period_ps = 1000.0;
 };
 
 MacroModel generate_etm_model(const TimingGraph& flat,

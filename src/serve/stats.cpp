@@ -16,6 +16,9 @@ namespace {
 
 const util::lockorder::LockClass kSlowlogLockClass("serve.stats.slowlog");
 
+/// Slow-log ring capacity (newest retained).
+constexpr std::size_t kSlowKeep = 32;
+
 /// The two reporting windows every section renders. Order matters: the
 /// JSON keys come out in this order and tests grep for "10s" first.
 constexpr double kWindows[] = {10.0, 300.0};
@@ -90,7 +93,7 @@ void ServeStats::record(std::uint64_t now_us, std::string_view model,
   {
     util::MutexLock lock(slow_mu_);
     slow_ring_.push_back(std::move(e));
-    while (slow_ring_.size() > std::max<std::size_t>(opt_.slow_keep, 1))
+    while (slow_ring_.size() > kSlowKeep)
       slow_ring_.pop_front();
   }
   const std::uint32_t sample = std::max<std::uint32_t>(opt_.slow_sample, 1);

@@ -68,8 +68,6 @@ struct ServeStatsOptions {
   /// Emit a log_warn line for every Nth slow request (1 = all);
   /// the bounded ring retains every slow request regardless.
   std::uint32_t slow_sample = 1;
-  /// Slow-log ring capacity (newest retained).
-  std::size_t slow_keep = 32;
 };
 
 class ServeStats {

@@ -176,11 +176,10 @@ void Sta::run(const BoundaryConstraints& bc) {
   forward(bc, par);
   seed_backward(bc, par);
   backward(par);
-  check_numeric();
+  check_boundary_nan();
 }
 
-void Sta::check_numeric() const {
-  if (!opt_.check_numeric) return;
+void Sta::check_boundary_nan() const {
   fault::inject("sta.run");
   // ±Inf is a legitimate "unconstrained" value; NaN is always
   // corruption (a poisoned LUT, a bad derate) and would otherwise leak
@@ -350,56 +349,28 @@ double Sta::cppr_credit(NodeId launch_ck, NodeId capture_ck) const {
 }
 
 void Sta::apply_check_seed(const CheckArc& c, const BoundaryConstraints& bc) {
+  // Setup bounds the late data arrival by the early capture edge one
+  // period later; hold bounds the early data arrival by the late edge.
+  const unsigned el = c.is_setup ? kLate : kEarly;
   const double ck_slew = store_.slew[idx(c.clock, kLate, kRise)];
-  const double ck_at_early = store_.at[idx(c.clock, kEarly, kRise)];
-  const double ck_at_late = store_.at[idx(c.clock, kLate, kRise)];
-  if (!std::isfinite(ck_slew)) return;
+  const double ck_at =
+      store_.at[idx(c.clock, c.is_setup ? kEarly : kLate, kRise)];
+  if (!std::isfinite(ck_slew) || !std::isfinite(ck_at)) return;
   for (unsigned rf = 0; rf < kNumRf; ++rf) {
+    const double d_slew = store_.slew[idx(c.data, el, rf)];
+    if (!std::isfinite(d_slew)) continue;
+    const double guard = (*c.guard)(el, rf).lookup(ck_slew, d_slew);
+    const double credit =
+        opt_.cppr ? cppr_credit(trace_launch_clock(c.data, el, rf), c.clock)
+                  : 0.0;
+    credits_[idx(c.data, el, rf)] = credit;
+    double& rat = store_.rat[idx(c.data, el, rf)];
     if (c.is_setup) {
-      const double d_slew = store_.slew[idx(c.data, kLate, rf)];
-      if (!std::isfinite(d_slew) || !std::isfinite(ck_at_early)) continue;
-      const double guard = (*c.guard)(kLate, rf).lookup(ck_slew, d_slew);
-      double credit = 0.0;
-      if (opt_.cppr) {
-        const NodeId lck = trace_launch_clock(c.data, kLate, rf);
-        credit = cppr_credit(lck, c.clock);
-      }
-      credits_[idx(c.data, kLate, rf)] = credit;
-      const double cand = bc.clock_period_ps + ck_at_early - guard + credit;
-      if (cand < store_.rat[idx(c.data, kLate, rf)])
-        store_.rat[idx(c.data, kLate, rf)] = cand;
-      // Capture-side requirement on the clock pin: the capture edge
-      // must not arrive so early that the data misses setup. Writes a
-      // *clock* pin, which is why clock_rat mode seeds on one thread.
-      if (opt_.clock_rat) {
-        const double d_at = store_.at[idx(c.data, kLate, rf)];
-        if (std::isfinite(d_at)) {
-          const double ck_req = d_at + guard - bc.clock_period_ps - credit;
-          if (ck_req > store_.rat[idx(c.clock, kEarly, kRise)])
-            store_.rat[idx(c.clock, kEarly, kRise)] = ck_req;
-        }
-      }
+      const double cand = bc.clock_period_ps + ck_at - guard + credit;
+      if (cand < rat) rat = cand;
     } else {
-      const double d_slew = store_.slew[idx(c.data, kEarly, rf)];
-      if (!std::isfinite(d_slew) || !std::isfinite(ck_at_late)) continue;
-      const double guard = (*c.guard)(kEarly, rf).lookup(ck_slew, d_slew);
-      double credit = 0.0;
-      if (opt_.cppr) {
-        const NodeId lck = trace_launch_clock(c.data, kEarly, rf);
-        credit = cppr_credit(lck, c.clock);
-      }
-      credits_[idx(c.data, kEarly, rf)] = credit;
-      const double cand = ck_at_late + guard - credit;
-      if (cand > store_.rat[idx(c.data, kEarly, rf)])
-        store_.rat[idx(c.data, kEarly, rf)] = cand;
-      if (opt_.clock_rat) {
-        const double d_at = store_.at[idx(c.data, kEarly, rf)];
-        if (std::isfinite(d_at)) {
-          const double ck_req = d_at - guard + credit;
-          if (ck_req < store_.rat[idx(c.clock, kLate, kRise)])
-            store_.rat[idx(c.clock, kLate, kRise)] = ck_req;
-        }
-      }
+      const double cand = ck_at + guard - credit;
+      if (cand > rat) rat = cand;
     }
   }
 }
@@ -419,11 +390,8 @@ void Sta::seed_backward(const BoundaryConstraints& bc, std::size_t par) {
   // credit (assigned, so per-pin order matters and is kept) and rat
   // lanes (min/max, order-free) — so results do not depend on how pins
   // are chunked. Reads (clock slew/at, pred chains) are finalized
-  // forward-pass state. In clock_rat mode a check also tightens its
-  // clock pin's rat, which checks of other data pins share: that still
-  // is an order-free min/max, but concurrent writes would race, so the
-  // walk runs on one thread.
-  for_chunks(topo_.check_pins.size(), kCheckGrain, opt_.clock_rat ? 1 : par,
+  // forward-pass state.
+  for_chunks(topo_.check_pins.size(), kCheckGrain, par,
              [&](std::size_t b, std::size_t e) {
                for (std::size_t i = b; i < e; ++i)
                  for (std::uint32_t cid : topo_.checks_of_pin(i))
@@ -487,8 +455,7 @@ void Sta::backward(std::size_t par) {
                [&](std::size_t b, std::size_t e) {
                  for (std::size_t i = b; i < e; ++i) {
                    const NodeId u = nodes[i];
-                   if (!opt_.clock_rat && graph_->node(u).in_clock_network)
-                     continue;
+                   if (graph_->node(u).in_clock_network) continue;
                    relax_backward_arcs(u, topo_.fanout(u));
                  }
                });
@@ -623,8 +590,6 @@ StaIncrementalStats Sta::run_incremental(const BoundaryConstraints& bc,
                                          std::span<const NodeId> dirty) {
   if (!has_reference_)
     throw std::logic_error("Sta::run_incremental: no reference set");
-  if (opt_.clock_rat)
-    throw std::logic_error("Sta::run_incremental: clock_rat not supported");
   obs::Span span("sta.run_incremental");
   g_incremental_runs.add();
   StaIncrementalStats stats;
@@ -684,7 +649,7 @@ StaIncrementalStats Sta::run_incremental(const BoundaryConstraints& bc,
   std::priority_queue<Entry> bwd;  // max-heap: highest topo position first
   auto bwd_push = [&](NodeId u) {
     if (graph_->node(u).dead) return;
-    if (!opt_.clock_rat && graph_->node(u).in_clock_network) return;
+    if (graph_->node(u).in_clock_network) return;
     if (bwd_stamp_[u] == incr_gen_) return;
     bwd_stamp_[u] = incr_gen_;
     bwd.push({topo_pos_[u], u});
@@ -723,7 +688,7 @@ StaIncrementalStats Sta::run_incremental(const BoundaryConstraints& bc,
   span.set_arg("seeds", static_cast<double>(stats.seeds));
   span.set_arg("frontier",
                static_cast<double>(stats.fwd_recomputed + stats.bwd_recomputed));
-  check_numeric();
+  check_boundary_nan();
   return stats;
 }
 

@@ -7,6 +7,10 @@
 // required arrival times seeded from PO constraints and setup/hold
 // checks at flip-flop data pins (with the common-path pessimism credit
 // folded in when CPPR mode is on), relaxed in reverse topological order.
+// Required times never enter the clock network: with an ideal clock
+// port, internal register-to-register endpoints would otherwise
+// constrain the clock PI, which interface-logic models intentionally
+// drop (the TAU evaluation convention, EXPERIMENTS.md deviation 1).
 //
 // The same engine analyzes flat designs, ILMs and macro models, which is
 // what makes macro accuracy evaluation (Fig. 2) a pure snapshot diff.
@@ -77,20 +81,9 @@ class Sta {
  public:
   struct Options {
     bool cppr = true;  ///< apply common-path pessimism removal
-    /// Propagate required times into the clock network (capture-side
-    /// clock requirements). Off by default: with an ideal clock port,
-    /// internal register-to-register endpoints would otherwise constrain
-    /// the clock PI, which interface-logic models intentionally drop —
-    /// the TAU evaluation convention (see DESIGN.md).
-    bool clock_rat = false;
     /// Advanced on-chip-variation mode: depth-based derating of cell
     /// arc delays (see sta/aocv.hpp).
     AocvConfig aocv;
-    /// Scan the boundary for NaN after each analysis and raise
-    /// fault::FlowError(kNumeric) with the offending pin instead of
-    /// letting corruption (a poisoned LUT, a bad derate) leak into
-    /// labels or macro models silently. O(ports) per run.
-    bool check_numeric = true;
     /// Threads for the full forward/backward passes of run(): 1 =
     /// inline on the caller (default), 0 = auto (TMM_THREADS when set,
     /// else hardware concurrency), N = at most N. Results are
@@ -107,6 +100,10 @@ class Sta {
   explicit Sta(const TimingGraph& graph) : Sta(graph, Options{}) {}
 
   /// Run a full forward + backward analysis under the constraints.
+  /// Afterwards the boundary is scanned for NaN, and a NaN raises
+  /// fault::FlowError(kNumeric) with the offending pin instead of letting
+  /// corruption (a poisoned LUT, a bad derate) leak into labels or macro
+  /// models silently. O(ports) per run.
   void run(const BoundaryConstraints& bc);
 
   /// Checkpoint the current analysis state (values, predecessors, CPPR
@@ -126,8 +123,7 @@ class Sta {
   /// termination where slew/at converge back to the reference, then the
   /// affected checks are re-seeded and the fan-in cone re-relaxed
   /// backward. Results are bit-identical to a from-scratch run() on the
-  /// mutated graph. Requires Options::clock_rat == false (capture-side
-  /// clock requirements cross-couple endpoints and are not localizable).
+  /// mutated graph, NaN scan included.
   StaIncrementalStats run_incremental(const BoundaryConstraints& bc,
                                       std::span<const NodeId> dirty);
 
@@ -198,8 +194,8 @@ class Sta {
   void forward(const BoundaryConstraints& bc, std::size_t par);
   void seed_backward(const BoundaryConstraints& bc, std::size_t par);
   void backward(std::size_t par);
-  /// Boundary NaN scan (Options::check_numeric); throws FlowError.
-  void check_numeric() const;
+  /// Boundary NaN scan after every analysis; throws FlowError.
+  void check_boundary_nan() const;
   /// Threads the full passes of this run() should use: Options::threads
   /// resolved against TMM_THREADS / hardware and the tiny-graph floor.
   std::size_t resolve_parallelism() const;
@@ -238,7 +234,6 @@ class Sta {
   void restore_reference();
   void mark_modified(NodeId v);
   void mark_changed(NodeId v);
-  double effective_load(NodeId n) const { return eff_load_[n]; }
   NodeId trace_launch_clock(NodeId data, unsigned el, unsigned rf) const;
   double cppr_credit(NodeId launch_ck, NodeId capture_ck) const;
 

@@ -117,15 +117,6 @@ TEST(Lut, Table2dOnGridLineInterpolatesAlongOtherAxis) {
   EXPECT_DOUBLE_EQ(l.lookup(2, 10), 20.0);
 }
 
-TEST(InterpLinear, MatchesSegmentEndpointsAndExtends) {
-  const std::vector<double> axis{0, 10, 30};
-  const std::vector<double> y{0, 100, 200};
-  EXPECT_DOUBLE_EQ(interp::linear(axis, y, 10.0), 100.0);
-  EXPECT_DOUBLE_EQ(interp::linear(axis, y, 20.0), 150.0);
-  EXPECT_DOUBLE_EQ(interp::linear(axis, y, 50.0), 300.0);
-  EXPECT_DOUBLE_EQ(interp::linear(axis, y, -1.0), -10.0);
-}
-
 TEST(Lut, RejectsMalformedInputs) {
   EXPECT_THROW(Lut::table1d({1}, {2}), std::invalid_argument);
   EXPECT_THROW(Lut::table1d({2, 1}, {1, 2}), std::invalid_argument);
@@ -154,9 +145,9 @@ TEST(InterpSegment, FindsEnclosingSegment) {
 
 // --- exactness of locate/at -------------------------------------------
 //
-// Lut::lookup, interp::linear and the engine's shared-grid path all
-// evaluate at(locate(slew), locate(load)). These tests pin that form,
-// and the branchless interp::segment, bit for bit against a copy of the
+// Lut::lookup and the engine's shared-grid path both evaluate
+// at(locate(slew), locate(load)). These tests pin that form, and the
+// branchless interp::segment, bit for bit against a copy of the
 // binary-search lookup it replaced.
 
 namespace ref {
@@ -300,8 +291,9 @@ TEST(LutExact, LookupMatchesBinarySearchLookupBitForBit) {
 TEST(LutExact, LinearMatchesBinarySearchLinearBitForBit) {
   const std::vector<double> axis{-1, 0, 0.5, 3, 9};
   const std::vector<double> y{0.0, -0.0, 1e-310, 4, -4};
+  const Lut l = Lut::table1d(axis, y);
   for (double x : probes(axis))
-    EXPECT_EQ(bits(interp::linear(axis, y, x)), bits(ref::linear(axis, y, x)))
+    EXPECT_EQ(bits(l.lookup(x, 0.0)), bits(ref::linear(axis, y, x)))
         << "x=" << x;
 }
 

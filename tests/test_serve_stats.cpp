@@ -405,25 +405,29 @@ TEST(ServeStats, SlowLogHonorsThresholdAndBoundedRing) {
   serve::ServeStatsOptions opt;
   opt.slow_threshold_us = 100;
   opt.slow_sample = 1u << 30;  // retain in the ring, never log_warn
-  opt.slow_keep = 4;
   serve::ServeStats st({"a"}, 0, opt);
   const std::uint64_t t0 = 20 * kSec;
   for (int i = 0; i < 10; ++i)  // under threshold: not slow
     st.record(t0, "a", serve::ResponseStatus::kOk, false,
               serve::ShedKind::kNone, timings_us(50.0), i);
   EXPECT_EQ(st.slow_total(), 0u);
-  for (int i = 0; i < 6; ++i)  // over threshold: slow, ring keeps last 4
+  // Over threshold: all slow, the ring keeps the newest 32 of 38.
+  constexpr int kRing = 32;
+  constexpr int kSlow = kRing + 6;
+  for (int i = 0; i < kSlow; ++i)
     st.record(t0, "a", serve::ResponseStatus::kOk, false,
               serve::ShedKind::kNone, timings_us(200.0 + i), 100 + i);
-  EXPECT_EQ(st.slow_total(), 6u);
+  EXPECT_EQ(st.slow_total(), static_cast<std::uint64_t>(kSlow));
   const std::string json = st.stats_json(t0);
   EXPECT_EQ(json_value_after(json, {"slow"}, "threshold_us"), 100.0);
-  EXPECT_EQ(json_value_after(json, {"slow"}, "total"), 6.0);
-  for (int id : {102, 103, 104, 105})
-    EXPECT_NE(json.find("\"request_id\": " + std::to_string(id)),
-              std::string::npos);
-  EXPECT_EQ(json.find("\"request_id\": 100"), std::string::npos);
-  EXPECT_EQ(json.find("\"request_id\": 101"), std::string::npos);
+  EXPECT_EQ(json_value_after(json, {"slow"}, "total"), double{kSlow});
+  for (int id = 100; id < 100 + kSlow; ++id) {
+    const bool kept = id >= 100 + kSlow - kRing;
+    EXPECT_EQ(json.find("\"request_id\": " + std::to_string(id) + ",") !=
+                  std::string::npos,
+              kept)
+        << "request_id " << id;
+  }
 }
 
 TEST(ServeStats, HealthJsonReportsDrainingAndModelCounts) {

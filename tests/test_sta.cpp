@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "macro/ilm.hpp"
+#include "macro/merge.hpp"
 #include "obs/metrics.hpp"
 #include "sta/propagation.hpp"
 #include "test_helpers.hpp"
@@ -306,21 +307,70 @@ TEST(Sta, WorstPathOfUnreachedNodeIsEmpty) {
   EXPECT_FALSE(sta.worst_path(d.primary_outputs()[0], kLate, kFall).empty());
 }
 
-TEST(Sta, ClockRatOptionRestoresClockSideRequirements) {
+/// Every live clock-network node that is not a PO keeps the
+/// unconstrained rat lanes: late +inf, early -inf.
+void expect_clock_network_unconstrained(const Sta& sta, const TimingGraph& g) {
+  std::size_t checked = 0;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const GraphNode& node = g.node(n);
+    if (node.dead || !node.in_clock_network ||
+        node.role == NodeRole::kPrimaryOutput)
+      continue;
+    const PinTiming t = sta.timing(n);
+    for (unsigned rf = 0; rf < kNumRf; ++rf) {
+      EXPECT_EQ(t.rat(kLate, rf), kInf) << node.name << " rf=" << rf;
+      EXPECT_EQ(t.rat(kEarly, rf), -kInf) << node.name << " rf=" << rf;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+/// Late and early rat lanes of every data-side PI, bit for bit.
+void expect_data_pi_rats_equal(const Sta& got, const Sta& want,
+                               const TimingGraph& g) {
+  std::size_t finite = 0;
+  for (NodeId p : g.primary_inputs()) {
+    if (p == kInvalidId || g.node(p).in_clock_network) continue;
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf) {
+        const double a = got.timing(p).rat(el, rf);
+        const double b = want.timing(p).rat(el, rf);
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+            << g.node(p).name << " el=" << el << " rf=" << rf;
+        if (std::isfinite(b)) ++finite;
+      }
+  }
+  EXPECT_GT(finite, 0u);  // the data side is actually constrained
+}
+
+TEST(Sta, ClockNetworkCarriesNoRequiredTimes) {
   const Design d = make_cppr_design();
-  const TimingGraph g = build_timing_graph(d);
+  TimingGraph g = build_timing_graph(d);
   const BoundaryConstraints bc = nominal_constraints(2, 1, 800.0);
-  Sta off(g);
-  off.run(bc);
-  Sta on(g, {.clock_rat = true});
-  on.run(bc);
-  // With the option on, capture-side requirements reach the clock port.
-  EXPECT_FALSE(std::isfinite(off.timing(g.clock_root()).rat(kEarly, kRise)));
-  EXPECT_TRUE(std::isfinite(on.timing(g.clock_root()).rat(kEarly, kRise)));
-  // Data-side boundary values are unaffected by the clock-RAT convention.
-  const NodeId in0 = d.primary_inputs()[1];
-  EXPECT_DOUBLE_EQ(on.timing(in0).rat(kLate, kRise),
-                   off.timing(in0).rat(kLate, kRise));
+  Sta sta(g);
+  sta.run(bc);
+  expect_clock_network_unconstrained(sta, g);
+  sta.set_reference();
+
+  // Every pin a MergeDelta removes, clock-network pins included: the
+  // incremental pass keeps the convention and matches a full run.
+  const MergeConfig mcfg;
+  MergeDelta delta(g);
+  ASSERT_TRUE(delta.applicable());
+  std::size_t removed = 0;
+  for (NodeId pin = 0; pin < g.num_nodes(); ++pin) {
+    if (!mergeable(g, pin, mcfg) || !delta.apply(pin, mcfg)) continue;
+    SCOPED_TRACE(testing::Message() << "removed " << g.node(pin).name);
+    ++removed;
+    sta.run_incremental(bc, delta.touched());
+    expect_clock_network_unconstrained(sta, g);
+    Sta fresh(g);
+    fresh.run(bc);
+    expect_data_pi_rats_equal(sta, fresh, g);
+    delta.undo();
+  }
+  EXPECT_GT(removed, 0u);
 }
 
 TEST(Sta, ReusedEngineMatchesFreshEngine) {
@@ -400,8 +450,8 @@ TEST(Sta, TighterClockPeriodReducesSlack) {
 
 // ---------------------------------------------------------------------
 // Golden fingerprints: FNV-1a over the bit patterns of every live
-// node's slew/at/rat and endpoint credit, for every cppr x aocv x
-// clock_rat combination at 1 and 4 threads. The constants were recorded
+// node's slew/at/rat and endpoint credit, for every cppr x aocv
+// combination at 1 and 4 threads. The constants were recorded
 // from the engine before its passes were unified onto the levelized
 // walk; they are an external reference, so a change to propagation
 // order, tie-breaks or check seeding that moves any bit fails here even
@@ -436,9 +486,9 @@ std::uint64_t sta_fingerprint(const Sta& sta, const TimingGraph& g) {
   return h;
 }
 
-/// want[mode] with mode = cppr + 2*aocv + 4*clock_rat.
+/// want[mode] with mode = cppr + 2*aocv.
 void expect_golden(const TimingGraph& g, std::uint64_t seed,
-                   const std::array<std::uint64_t, 8>& want) {
+                   const std::array<std::uint64_t, 4>& want) {
   Rng rng(seed);
   const BoundaryConstraints bc = random_constraints(
       g.primary_inputs().size(), g.primary_outputs().size(), {}, rng);
@@ -446,7 +496,6 @@ void expect_golden(const TimingGraph& g, std::uint64_t seed,
     Sta::Options opt;
     opt.cppr = (mode & 1u) != 0;
     opt.aocv.enabled = (mode & 2u) != 0;
-    opt.clock_rat = (mode & 4u) != 0;
     opt.parallel_min_nodes = 0;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       opt.threads = threads;
@@ -454,7 +503,7 @@ void expect_golden(const TimingGraph& g, std::uint64_t seed,
       sta.run(bc);
       EXPECT_EQ(sta_fingerprint(sta, g), want[mode])
           << "cppr=" << opt.cppr << " aocv=" << opt.aocv.enabled
-          << " clock_rat=" << opt.clock_rat << " threads=" << threads;
+          << " threads=" << threads;
     }
   }
 }
@@ -464,9 +513,7 @@ TEST(StaGolden, TinyDesign) {
   const TimingGraph g = build_timing_graph(d);
   expect_golden(g, 0xA1,
                 {15936043902550638789ull, 843059859524754095ull,
-                 7111778994838866836ull, 3073784942321550504ull,
-                 1526984067823775158ull, 9936232956207653365ull,
-                 12906343216242845669ull, 8993030611807281336ull});
+                 7111778994838866836ull, 3073784942321550504ull});
 }
 
 TEST(StaGolden, SmallDesign) {
@@ -474,9 +521,7 @@ TEST(StaGolden, SmallDesign) {
   const TimingGraph g = build_timing_graph(d);
   expect_golden(g, 0xA2,
                 {14615069300536438192ull, 915754304873739836ull,
-                 11492545492460923602ull, 14448078639819737526ull,
-                 7381810314234816015ull, 10233117163196135166ull,
-                 31832552707547254ull, 12480423157879490357ull});
+                 11492545492460923602ull, 14448078639819737526ull});
 }
 
 TEST(StaGolden, Ilm) {
@@ -484,9 +529,7 @@ TEST(StaGolden, Ilm) {
   const TimingGraph flat = build_timing_graph(d);
   expect_golden(extract_ilm(flat).graph, 0xA3,
                 {3741777539853752949ull, 3741777539853752949ull,
-                 474312588776548142ull, 474312588776548142ull,
-                 8143934158478221484ull, 8143934158478221484ull,
-                 13352514056111228400ull, 13352514056111228400ull});
+                 474312588776548142ull, 474312588776548142ull});
 }
 
 TEST(StaGolden, BufferChain) {
@@ -494,8 +537,6 @@ TEST(StaGolden, BufferChain) {
   const TimingGraph g = build_timing_graph(d);
   expect_golden(g, 0xA4,
                 {12106167403589844794ull, 12106167403589844794ull,
-                 10168646074752075660ull, 10168646074752075660ull,
-                 12106167403589844794ull, 12106167403589844794ull,
                  10168646074752075660ull, 10168646074752075660ull});
 }
 
@@ -504,9 +545,7 @@ TEST(StaGolden, CpprDesign) {
   const TimingGraph g = build_timing_graph(d);
   expect_golden(g, 0xA5,
                 {10131251082277561189ull, 6966288993970081675ull,
-                 10817641113089431188ull, 8123393888191501226ull,
-                 2546122195692627864ull, 11069876825798972887ull,
-                 2986018893683368225ull, 3033107749233367102ull});
+                 10817641113089431188ull, 8123393888191501226ull});
 }
 
 }  // namespace

@@ -285,14 +285,11 @@ void expect_all_nodes_bits_equal(const Sta& got, const Sta& want,
 }
 
 void run_parallel_equivalence(const TimingGraph& g, bool cppr, bool aocv,
-                              bool clock_rat, std::uint64_t seed,
-                              std::size_t num_sets) {
+                              std::uint64_t seed, std::size_t num_sets) {
   SCOPED_TRACE(testing::Message() << "cppr=" << cppr << " aocv=" << aocv
-                                  << " clock_rat=" << clock_rat
                                   << " seed=" << seed);
   Sta::Options base;
   base.cppr = cppr;
-  base.clock_rat = clock_rat;
   if (aocv) base.aocv = test_aocv();
 
   Sta serial(g, base);
@@ -321,20 +318,18 @@ TEST(StaParallel, BitIdenticalOnTinyDesignAllModes) {
   const TimingGraph g = build_timing_graph(d);
   for (const bool cppr : {false, true})
     for (const bool aocv : {false, true})
-      for (const bool clock_rat : {false, true})
-        run_parallel_equivalence(g, cppr, aocv, clock_rat,
-                                 0x41 + cppr + 2 * aocv + 4 * clock_rat,
-                                 /*num_sets=*/2);
+      run_parallel_equivalence(g, cppr, aocv, 0x41 + cppr + 2 * aocv,
+                               /*num_sets=*/2);
 }
 
 TEST(StaParallel, BitIdenticalOnSmallDesign) {
   const Design d = test::make_small_design("par_small", 202);
   const TimingGraph g = build_timing_graph(d);
   for (const bool cppr : {false, true})
-    run_parallel_equivalence(g, cppr, /*aocv=*/false, /*clock_rat=*/false,
-                             0x51 + cppr, /*num_sets=*/2);
-  run_parallel_equivalence(g, /*cppr=*/true, /*aocv=*/true,
-                           /*clock_rat=*/true, 0x53, /*num_sets=*/1);
+    run_parallel_equivalence(g, cppr, /*aocv=*/false, 0x51 + cppr,
+                             /*num_sets=*/2);
+  run_parallel_equivalence(g, /*cppr=*/true, /*aocv=*/true, 0x53,
+                           /*num_sets=*/1);
 }
 
 TEST(StaParallel, BitIdenticalOnIlm) {
@@ -342,8 +337,8 @@ TEST(StaParallel, BitIdenticalOnIlm) {
   const TimingGraph flat = build_timing_graph(d);
   const TimingGraph g = extract_ilm(flat).graph;
   for (const bool cppr : {false, true})
-    run_parallel_equivalence(g, cppr, /*aocv=*/false, /*clock_rat=*/false,
-                             0x61 + cppr, /*num_sets=*/2);
+    run_parallel_equivalence(g, cppr, /*aocv=*/false, 0x61 + cppr,
+                             /*num_sets=*/2);
 }
 
 TEST(StaParallel, BitIdenticalOnBufferChain) {
@@ -351,8 +346,8 @@ TEST(StaParallel, BitIdenticalOnBufferChain) {
   // parallel path is all barrier and no width.
   const Design d = test::make_buffer_chain(40);
   const TimingGraph g = build_timing_graph(d);
-  run_parallel_equivalence(g, /*cppr=*/true, /*aocv=*/false,
-                           /*clock_rat=*/false, 0x71, /*num_sets=*/2);
+  run_parallel_equivalence(g, /*cppr=*/true, /*aocv=*/false, 0x71,
+                           /*num_sets=*/2);
 }
 
 TEST(StaParallel, TinyGraphFallsBackToSerial) {
