@@ -4,14 +4,13 @@
 // propagation, GraphSAGE inference and training epochs (1/2/4 threads),
 // the GNN GEMM kernels (both bodies), feature extraction, ILM
 // extraction, merging, one %.9g conversion, .macro formatting and the
-// incremental TS evaluation loop.
+// TS evaluation loop (1/2/4/8 threads).
 //
-// BM_SpeedupRecords times the TS loop full vs incremental
-// (`speedup_incremental`) and serial vs parallel full STA on a large
+// BM_SpeedupRecords times serial vs parallel full STA on a large
 // synthetic design (`speedup_parallel`, with a bitwise serial/parallel
-// comparison on the way) into the one BENCH_micro.json (CI runs it with
-// --benchmark_filter=SpeedupRecords and asserts both stay >= 1 and zero
-// mismatches).
+// comparison on the way) into BENCH_micro.json (CI runs it with
+// --benchmark_filter=SpeedupRecords and asserts the speedup stays >= 1
+// with zero mismatches).
 
 #include <benchmark/benchmark.h>
 
@@ -524,23 +523,6 @@ BENCHMARK(BM_GnnKernel)
     ->ArgsProduct({{0, 1, 2}, {9, 32}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_TsEvalFullVsIncremental(benchmark::State& state) {
-  static const IlmResult ilm = extract_ilm(flat_graph());
-  const std::vector<bool> cands(ilm.graph.num_nodes(), true);
-  TsConfig cfg;
-  cfg.threads = 1;
-  cfg.incremental = state.range(0) != 0;
-  for (auto _ : state) {
-    TsResult r = evaluate_timing_sensitivity(ilm.graph, cands, cfg);
-    benchmark::DoNotOptimize(r.ts.data());
-  }
-}
-BENCHMARK(BM_TsEvalFullVsIncremental)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);  // a single TS sweep is seconds on the full path
-
 // TS labeling loop across worker counts (parallelism is across
 // candidate pins; each worker's scratch engine stays serial).
 void BM_TsEvalParallel(benchmark::State& state) {
@@ -548,7 +530,6 @@ void BM_TsEvalParallel(benchmark::State& state) {
   const std::vector<bool> cands(ilm.graph.num_nodes(), true);
   TsConfig cfg;
   cfg.threads = static_cast<std::size_t>(state.range(0));
-  cfg.incremental = true;
   for (auto _ : state) {
     TsResult r = evaluate_timing_sensitivity(ilm.graph, cands, cfg);
     benchmark::DoNotOptimize(r.ts.data());
@@ -561,47 +542,6 @@ BENCHMARK(BM_TsEvalParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-
-// Direct full-vs-incremental comparison on the bench design, recorded
-// in BENCH_micro.json: CI smoke-checks `speedup_incremental`, and the
-// loop double-checks the bit-identity contract on the way.
-void record_ts_speedup(bench::JsonReport& json) {
-  const IlmResult ilm = extract_ilm(flat_graph());
-  const std::vector<bool> cands(ilm.graph.num_nodes(), true);
-  TsConfig cfg;
-  cfg.threads = 1;
-
-  Stopwatch sw;
-  cfg.incremental = false;
-  const TsResult full = evaluate_timing_sensitivity(ilm.graph, cands, cfg);
-  const double full_s = sw.seconds();
-
-  sw = Stopwatch();
-  cfg.incremental = true;
-  const TsResult inc = evaluate_timing_sensitivity(ilm.graph, cands, cfg);
-  const double inc_s = sw.seconds();
-
-  std::size_t mismatches = 0;
-  for (std::size_t n = 0; n < full.ts.size(); ++n)
-    if (std::memcmp(&full.ts[n], &inc.ts[n], sizeof(double)) != 0)
-      ++mismatches;
-
-  const double speedup = inc_s > 0.0 ? full_s / inc_s : 0.0;
-  std::printf(
-      "\nTS eval on %zu pins: full %.3fs, incremental %.3fs -> "
-      "speedup_incremental %.2fx (%zu TS mismatches)\n",
-      full.evaluated_pins, full_s, inc_s, speedup, mismatches);
-
-  json.set_meta("ts_pins", static_cast<double>(full.evaluated_pins));
-  json.add_row("bench", "full",
-               {{"ts_eval_seconds", full_s},
-                {"pins", static_cast<double>(full.evaluated_pins)}});
-  json.add_row("bench", "incremental",
-               {{"ts_eval_seconds", inc_s},
-                {"pins", static_cast<double>(inc.evaluated_pins)}});
-  json.set_summary("speedup_incremental", speedup);
-  json.set_summary("ts_bitwise_mismatches", static_cast<double>(mismatches));
-}
 
 // Serial vs level-parallel full STA on a design an order of magnitude
 // larger than the google-benchmark one (scale with
@@ -675,16 +615,12 @@ void record_parallel_speedup(bench::JsonReport& json) {
                    static_cast<double>(mismatches));
 }
 
-// Both records feed one report, written only when this benchmark runs:
-// JsonReport::write replaces the whole BENCH_micro.json, so a second
-// instance would clobber the first one's rows and summaries. Select it
-// alone with --benchmark_filter=SpeedupRecords.
+// The record is written only when this benchmark runs: JsonReport::write
+// replaces the whole BENCH_micro.json. Select it alone with
+// --benchmark_filter=SpeedupRecords.
 void BM_SpeedupRecords(benchmark::State& state) {
   bench::JsonReport json("micro");
-  for (auto _ : state) {
-    record_ts_speedup(json);
-    record_parallel_speedup(json);
-  }
+  for (auto _ : state) record_parallel_speedup(json);
   json.write();
 }
 BENCHMARK(BM_SpeedupRecords)->Unit(benchmark::kSecond)->Iterations(1);

@@ -69,8 +69,8 @@ std::uint64_t library_fingerprint(const Library& lib) {
 std::uint64_t flow_fingerprint(const FlowConfig& cfg) {
   // Canonical serialization of every field that changes the generated
   // sensitivity data or the trained model. Fields that only change
-  // performance (threads, data.ts.incremental) or the evaluation stage
-  // (eval_*) are deliberately excluded. v2 added the
+  // performance (threads) or the evaluation stage (eval_*) are
+  // deliberately excluded. v2 added the
   // liberty-library hash: TS labels depend on cell timing, so a
   // swapped library must invalidate --resume.
   std::ostringstream os;
@@ -85,15 +85,18 @@ std::uint64_t flow_fingerprint(const FlowConfig& cfg) {
   put_hex(os, cfg.aocv.depth_constant);
   os << '|' << cfg.data.cppr_labels << '|';
   put_hex(os, cfg.data.ts_zero_epsilon);
-  const auto& f = cfg.data.filter;
+  // The filter's former PI slew (t_min, t_max) and PO load options are
+  // written as the constants they became (2, 60 and 4, see
+  // sensitivity/filter.cpp), so older checkpoint directories still
+  // resume.
   os << '|';
-  put_hex(os, f.slew_min_ps);
+  put_hex(os, 2.0);
   os << '|';
-  put_hex(os, f.slew_max_ps);
+  put_hex(os, 60.0);
   os << '|';
-  put_hex(os, f.po_load_ff);
+  put_hex(os, 4.0);
   os << '|';
-  put_hex(os, f.z_threshold);
+  put_hex(os, cfg.data.filter.z_threshold);
   const auto& ts = cfg.data.ts;
   os << '|' << ts.num_constraint_sets << '|' << ts.seed << '|' << ts.cppr
      << '|';

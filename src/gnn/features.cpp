@@ -64,19 +64,8 @@ Matrix extract_features(const TimingGraph& g, bool include_cppr) {
 
   // last-stage flags first (needed for the fanout-of-last-stage flag).
   std::vector<unsigned char> last_stage(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    if (g.node(u).dead) continue;
-    if (!g.node(u).attached_po_loads.empty()) {
-      last_stage[u] = 1;
-      continue;
-    }
-    for (ArcId a : g.fanout(u)) {
-      if (g.node(g.arc(a).to).role == NodeRole::kPrimaryOutput) {
-        last_stage[u] = 1;
-        break;
-      }
-    }
-  }
+  for (NodeId u = 0; u < n; ++u)
+    if (!g.node(u).dead && is_last_stage(g, u)) last_stage[u] = 1;
 
   for (NodeId u = 0; u < n; ++u) {
     const auto& node = g.node(u);
@@ -109,9 +98,7 @@ Matrix extract_features(const TimingGraph& g, bool include_cppr) {
              static_cast<float>(max_deg);
     row[6] = node.in_clock_network ? 1.0f : 0.0f;
     row[7] = node.is_ff_clock ? 1.0f : 0.0f;
-    if (include_cppr)
-      row[8] =
-          (node.in_clock_network && g.fanout(u).size() > 1) ? 1.0f : 0.0f;
+    if (include_cppr) row[8] = is_cppr_crucial(g, u) ? 1.0f : 0.0f;
   }
   return x;
 }

@@ -30,11 +30,8 @@ std::vector<bool> itimerm_keep_set(const TimingGraph& ilm,
     if (hi - lo > kTolerancePs) keep[n] = true;
   }
   if (cfg.protect_cppr) {
-    for (NodeId n = 0; n < ilm.num_nodes(); ++n) {
-      const auto& node = ilm.node(n);
-      if (!node.dead && node.in_clock_network && ilm.fanout(n).size() > 1)
-        keep[n] = true;
-    }
+    for (NodeId n = 0; n < ilm.num_nodes(); ++n)
+      if (is_cppr_crucial(ilm, n)) keep[n] = true;
   }
   return keep;
 }

@@ -371,12 +371,13 @@ MergeDelta::MergeDelta(TimingGraph& g) : g_(&g) {
   // Materialize the adjacency + topological-order caches the delta_*
   // mutators patch in place.
   g.topo_order();
-  graph_has_duplicates_ = has_parallel_duplicate_arcs(g);
-  if (graph_has_duplicates_) return;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     const GraphArc& arc = g.arc(a);
     if (arc.dead || arc.is_launch) continue;
-    pristine_keys_.emplace(parallel_key(arc), a);
+    if (!pristine_keys_.emplace(parallel_key(arc), a).second)
+      throw std::invalid_argument(
+          "MergeDelta: graph has parallel duplicate arcs into '" +
+          g.node(arc.to).name + "'");
   }
 }
 
@@ -389,14 +390,13 @@ MergeDelta::MergeDelta(TimingGraph& g) : g_(&g) {
 // merge_parallel_arcs, restricted to the appended id range: with no
 // duplicate keys among live pristine arcs, a full scan would only
 // register those, so scanning the new arcs against the pristine key
-// index reproduces it exactly. That replication is what makes the
-// incremental TS path bit-identical to the copy + full-merge path; the
+// index reproduces it exactly. That replication is what makes TS
+// evaluation bit-identical to a graph copy + full merge; the
 // equivalence is enforced by the randomized harness in
 // tests/test_sta_incremental.cpp.
 bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   if (applied_)
     throw std::logic_error("MergeDelta::apply: previous delta not undone");
-  if (!applicable()) return false;
   TimingGraph& g = *g_;
   touched_.clear();
   killed_.clear();

@@ -68,8 +68,8 @@ std::size_t merge_parallel_arcs(TimingGraph& g, const MergeConfig& cfg = {});
 
 /// True if the live graph has two non-launch delay arcs with the same
 /// (from, to, sense) key — i.e. merge_parallel_arcs would fold
-/// something even before any pin is removed. MergeDelta requires this
-/// to be false (see below).
+/// something even before any pin is removed. MergeDelta rejects such a
+/// graph (see below).
 bool has_parallel_duplicate_arcs(const TimingGraph& g);
 
 /// Single-pin merge with undo, for the what-if loop of timing-
@@ -80,20 +80,17 @@ bool has_parallel_duplicate_arcs(const TimingGraph& g);
 /// equivalently afterwards, keeping the cached adjacency and
 /// topological order valid throughout. One MergeDelta per scratch graph
 /// amortizes the pristine duplicate-key index across pins.
-///
-/// Not applicable (applicable() == false, apply() refuses) when the
-/// pristine graph already has parallel duplicate arcs: a full merge
-/// would fold those independently of the removed pin, so the delta
-/// could not match it; callers fall back to the copy + full-merge path.
 class MergeDelta {
  public:
+  /// Throws std::invalid_argument when the pristine graph already has
+  /// parallel duplicate arcs: a full merge would fold those
+  /// independently of the removed pin, so no single-pin delta could
+  /// match it. No design builds such a graph.
   explicit MergeDelta(TimingGraph& g);
 
-  bool applicable() const noexcept { return !graph_has_duplicates_; }
-
   /// Remove `pin`. Returns false (graph untouched) when the pin is
-  /// refused by the merge legality/size rules or the delta is not
-  /// applicable. Must not be called while a delta is applied.
+  /// refused by the merge legality/size rules. Must not be called while
+  /// a delta is applied.
   bool apply(NodeId pin, const MergeConfig& cfg);
 
   /// Restore the graph to its pre-apply state (no-op when nothing is
@@ -109,7 +106,6 @@ class MergeDelta {
 
  private:
   TimingGraph* g_;
-  bool graph_has_duplicates_ = false;
   /// (from, to, sense) key -> the unique live pristine non-launch arc.
   std::unordered_map<std::uint64_t, ArcId> pristine_keys_;
   NodeId pin_ = kInvalidId;

@@ -15,23 +15,21 @@ namespace {
 // function-local static, so this is static-init safe).
 obs::Counter& g_filter_runs = obs::counter("filter.runs");
 
-}  // namespace
+// The two slews propagated from every PI (t_min, t_max) and the load on
+// every PO. flow_fingerprint hashes these values.
+constexpr double kSlewMinPs = 2.0;
+constexpr double kSlewMaxPs = 60.0;
+constexpr double kPoLoadFf = 4.0;
 
-bool is_last_stage(const TimingGraph& g, NodeId n) {
-  const auto& node = g.node(n);
-  if (!node.attached_po_loads.empty()) return true;
-  for (ArcId a : g.fanout(n))
-    if (g.node(g.arc(a).to).role == NodeRole::kPrimaryOutput) return true;
-  return false;
-}
+}  // namespace
 
 FilterResult filter_insensitive_pins(const TimingGraph& g,
                                      const FilterConfig& cfg) {
   obs::Span span("sensitivity.filter");
   FilterResult out;
   const std::size_t n = g.num_nodes();
-  const auto lo = propagate_slew_only(g, cfg.slew_min_ps, cfg.po_load_ff);
-  const auto hi = propagate_slew_only(g, cfg.slew_max_ps, cfg.po_load_ff);
+  const auto lo = propagate_slew_only(g, kSlewMinPs, kPoLoadFf);
+  const auto hi = propagate_slew_only(g, kSlewMaxPs, kPoLoadFf);
 
   out.sd.assign(n, 0.0);
   for (NodeId u = 0; u < n; ++u) {

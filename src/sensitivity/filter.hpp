@@ -18,9 +18,6 @@
 namespace tmm {
 
 struct FilterConfig {
-  double slew_min_ps = 2.0;   ///< t_min propagated from the PIs
-  double slew_max_ps = 60.0;  ///< t_max propagated from the PIs
-  double po_load_ff = 4.0;
   /// Pins with standardized SD (z-score) below this are filtered out.
   double z_threshold = -0.25;
 };
@@ -41,9 +38,5 @@ struct FilterResult {
 
 FilterResult filter_insensitive_pins(const TimingGraph& g,
                                      const FilterConfig& cfg = {});
-
-/// True if the node directly drives a primary output or is electrically
-/// tied to an output net (kept for output-load variance).
-bool is_last_stage(const TimingGraph& g, NodeId n);
 
 }  // namespace tmm

@@ -2,12 +2,6 @@
 
 namespace tmm {
 
-bool is_cppr_crucial(const TimingGraph& g, NodeId n) {
-  const auto& node = g.node(n);
-  if (node.dead || !node.in_clock_network) return false;
-  return g.fanout(n).size() > 1;
-}
-
 SensitivityData generate_training_data(const TimingGraph& ilm,
                                        const TrainingDataConfig& cfg) {
   SensitivityData out;

@@ -30,12 +30,9 @@ struct SensitivityData {
   std::size_t positives = 0;
 };
 
-/// Run the full Fig. 8 flow on an ILM graph.
+/// Run the full Fig. 8 flow on an ILM graph. The CPPR label rule is
+/// is_cppr_crucial (sta/timing_graph.hpp, included through here).
 SensitivityData generate_training_data(const TimingGraph& ilm,
                                        const TrainingDataConfig& cfg);
-
-/// True for clock-network pins with more than one delay fanout (the
-/// CPPR-crucial common points; also the is_CPPR feature of Table 1).
-bool is_cppr_crucial(const TimingGraph& g, NodeId n);
 
 }  // namespace tmm

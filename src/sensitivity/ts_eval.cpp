@@ -99,6 +99,12 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
   out.ts.assign(ilm.num_nodes(), 0.0);
   Stopwatch sw;
 
+  // Every worker's MergeDelta would reject this graph, scoring each pin
+  // failed; fail the design once, before any timing work, instead.
+  if (has_parallel_duplicate_arcs(ilm))
+    throw fault::FlowError(fault::ErrorCode::kConfig, "ts.eval",
+                           "ILM has parallel duplicate delay arcs");
+
   // Random boundary-constraint sets and their reference snapshots.
   Rng rng(cfg.seed);
   std::vector<BoundaryConstraints> sets;
@@ -179,20 +185,11 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
              elapsed, eta);
   };
 
-  const bool use_incremental =
-      cfg.incremental && !has_parallel_duplicate_arcs(ilm);
-  if (cfg.incremental && !use_incremental)
-    log_warn("ts-eval: ILM has parallel duplicate arcs; falling back to the "
-             "full per-pin re-analysis path");
-  span.set_arg("incremental", use_incremental ? 1.0 : 0.0);
-
-  // The two per-pin evaluators of Eq. 1; they agree bit for bit. The
-  // full one is the reference and the only one for ILMs with parallel
-  // duplicate arcs.
-  auto incremental_ts = [&](Scratch& s, NodeId n) {
-    // Refused by the merge legality/size rules: the full path would
-    // re-run timing on an unchanged graph and diff two identical
-    // snapshots — TS is exactly 0.
+  // Eq. 1 for one pin, bit-identical to removing it from a graph copy
+  // with merge_insensitive_pins and re-running a full Sta per set.
+  auto pin_ts = [&](Scratch& s, NodeId n) {
+    // Refused by the merge legality/size rules: re-timing the unchanged
+    // graph would diff two identical snapshots — TS is exactly 0.
     if (!s.delta.apply(n, cfg.merge)) return 0.0;
     g_dirty_nodes.add(s.delta.touched().size());
     double ts_sum = 0.0;
@@ -204,21 +201,6 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
       ts_sum += snapshot_ts(s.snap, refs[c]);
     }
     s.delta.undo();
-    g_repropagations.add(sets.size());
-    return ts_sum / static_cast<double>(sets.size());
-  };
-  auto full_ts = [&](NodeId n) {
-    // Remove pin n exactly as macro generation would, on a copy.
-    TimingGraph g = ilm;
-    std::vector<bool> keep(ilm.num_nodes(), true);
-    keep[n] = false;
-    merge_insensitive_pins(g, keep, cfg.merge);
-    Sta sta(g, sta_opt);
-    double ts_sum = 0.0;
-    for (std::size_t c = 0; c < sets.size(); ++c) {
-      sta.run(sets[c]);
-      ts_sum += snapshot_ts(sta.boundary_snapshot(), refs[c]);
-    }
     g_repropagations.add(sets.size());
     return ts_sum / static_cast<double>(sets.size());
   };
@@ -253,12 +235,8 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
       const NodeId n = work[i];
       try {
         fault::inject("ts.eval_pin");
-        if (use_incremental) {
-          if (!scratch) scratch.emplace(ilm, sta_opt, sets);
-          out.ts[n] = incremental_ts(*scratch, n);
-        } else {
-          out.ts[n] = full_ts(n);
-        }
+        if (!scratch) scratch.emplace(ilm, sta_opt, sets);
+        out.ts[n] = pin_ts(*scratch, n);
       } catch (const std::exception& e) {
         scratch.reset();
         record_failure(n, e.what());

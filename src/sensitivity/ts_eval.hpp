@@ -7,6 +7,9 @@
 // and average the relative change of boundary slew / arrival / required
 // arrival / slack. TS == 0 means merging A is timing-free; TS > 0
 // quantifies how much accuracy merging A costs.
+// Each worker removes pins from its own copy of the ILM (MergeDelta
+// apply/undo) and re-times the dirty cone (Sta::run_incremental), bit-
+// identical to a graph copy + full merge + full Sta per pin.
 
 #include <span>
 
@@ -35,13 +38,6 @@ struct TsConfig {
   /// slot's scratch STA engines are serial — parallelism here is across
   /// pins.
   std::size_t threads = 1;
-  /// Incremental per-pin path: one reusable scratch graph per worker
-  /// (MergeDelta apply/undo) and worklist re-propagation over the dirty
-  /// cone (Sta::run_incremental) instead of a graph copy + full merge +
-  /// full propagation per pin. Results are bit-identical to the full
-  /// path; automatically falls back to it (with a warning) when the ILM
-  /// has pre-existing parallel duplicate arcs.
-  bool incremental = true;
 };
 
 struct TsResult {
@@ -63,7 +59,9 @@ struct TsResult {
 /// Evaluate TS for every node with candidates[n] == true. Pins that are
 /// not legally mergeable are skipped (they are kept regardless, so their
 /// sensitivity never matters). `ilm` must not contain owned tables yet
-/// (i.e. be a fresh ILM), because evaluation copies it per pin.
+/// (i.e. be a fresh ILM), because each worker slot copies it. Throws
+/// fault::FlowError (kConfig) when `ilm` has parallel duplicate delay
+/// arcs (see MergeDelta).
 TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
                                      const std::vector<bool>& candidates,
                                      const TsConfig& cfg);

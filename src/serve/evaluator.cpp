@@ -123,13 +123,13 @@ void append_elrf(std::string& key, const ElRf<double>& x) {
 Evaluator::Evaluator(RegistryManager& manager, Options opt)
     : manager_(&manager),
       opt_(opt),
-      cache_(opt.cache_capacity, opt.cache_shards) {}
+      cache_(opt.cache_capacity) {}
 
 Evaluator::Evaluator(const ModelRegistry& registry, Options opt)
     : owned_(std::make_unique<RegistryManager>(registry)),
       manager_(owned_.get()),
       opt_(opt),
-      cache_(opt.cache_capacity, opt.cache_shards) {}
+      cache_(opt.cache_capacity) {}
 
 Evaluator::Result Evaluator::evaluate(const std::string& model_name,
                                       const BoundaryConstraints& bc,

@@ -100,7 +100,6 @@ class Evaluator {
     /// Constraint quantization grid in ps/fF (0 = exact; see header).
     double quantum_ps = 0.0;
     std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 8;
     Sta::Options sta;
   };
 

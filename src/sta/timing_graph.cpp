@@ -360,6 +360,20 @@ std::vector<NodeId> find_cycle(const TimingGraph& g) {
   return {};
 }
 
+bool is_last_stage(const TimingGraph& g, NodeId n) {
+  const auto& node = g.node(n);
+  if (!node.attached_po_loads.empty()) return true;
+  for (ArcId a : g.fanout(n))
+    if (g.node(g.arc(a).to).role == NodeRole::kPrimaryOutput) return true;
+  return false;
+}
+
+bool is_cppr_crucial(const TimingGraph& g, NodeId n) {
+  const auto& node = g.node(n);
+  if (node.dead || !node.in_clock_network) return false;
+  return g.fanout(n).size() > 1;
+}
+
 TimingGraph build_timing_graph(const Design& design) {
   obs::Span span("sta.graph_build");
   TimingGraph g;

@@ -231,6 +231,17 @@ TimingGraph build_timing_graph(const Design& design);
 /// message and the analysis-layer invariant checker.
 std::vector<NodeId> find_cycle(const TimingGraph& g);
 
+/// True if the node directly drives a primary output or is electrically
+/// tied to an output net: a last-stage pin, whose timing varies with the
+/// output load (always kept by the filter; a GNN input feature).
+bool is_last_stage(const TimingGraph& g, NodeId n);
+
+/// True for live clock-network pins with more than one delay fanout: the
+/// CPPR-crucial common points of launch and capture clock paths (a
+/// training-label rule, the is_CPPR feature of Table 1 and a pin the
+/// iTimerM baseline protects).
+bool is_cppr_crucial(const TimingGraph& g, NodeId n);
+
 /// PERI-style slew degradation through a wire: the output slew of a wire
 /// segment with Elmore delay `wire_delay` given input slew `slew_in`.
 inline double wire_slew(double slew_in, double wire_delay) noexcept {

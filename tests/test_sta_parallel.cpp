@@ -221,7 +221,6 @@ TEST(StaTopology, StructureVersionBumpsOnMutation) {
   const std::uint64_t v0 = g.structure_version();
   MergeConfig mcfg;
   MergeDelta delta(g);
-  ASSERT_TRUE(delta.applicable());
   // apply() may refuse individual candidates; find one it removes.
   bool applied = false;
   for (NodeId n = 0; n < g.num_nodes() && !applied; ++n)
@@ -402,7 +401,6 @@ TEST(StaParallel, ParallelReferenceThenIncrementalMatchesSerialFromScratch) {
   g.topo_order();  // materialize caches before the pristine copy
   const TimingGraph pristine = g;
   MergeDelta delta(g);
-  ASSERT_TRUE(delta.applicable());
 
   // The reference is produced by a *parallel* full run; incremental
   // convergence against it must still bit-match serial from-scratch
@@ -461,7 +459,6 @@ TEST(StaParallel, TopologyCacheRebuildsAfterStructuralChange) {
   engine.run(bc);  // builds the level schedule for the pristine graph
 
   MergeDelta delta(g);
-  ASSERT_TRUE(delta.applicable());
   bool applied = false;
   for (NodeId n = 0; n < g.num_nodes() && !applied; ++n)
     if (mergeable(g, n, mcfg)) applied = delta.apply(n, mcfg);
