@@ -3,8 +3,9 @@
 // level-parallel), one cache-missing serving query, the slew-only filter
 // propagation, GraphSAGE inference and training epochs (1/2/4 threads),
 // the GNN GEMM kernels (both bodies), feature extraction, ILM
-// extraction, merging, one %.9g conversion, .macro formatting and the
-// TS evaluation loop (1/2/4/8 threads).
+// extraction, merging and accuracy evaluation (1/2 threads), one %.9g
+// conversion, .macro formatting and the TS evaluation loop (1/2/4/8
+// threads).
 //
 // BM_SpeedupRecords times serial vs parallel full STA on a large
 // synthetic design (`speedup_parallel`, with a bitwise serial/parallel
@@ -268,17 +269,53 @@ void BM_InsensitiveFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_InsensitiveFilter)->Unit(benchmark::kMillisecond);
 
+// Merging every legal pin of the bench design's ILM; Arg is the thread
+// count merged arcs are composed on (the model is the same at both).
 void BM_MergeInsensitivePins(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     IlmResult ilm = extract_ilm(flat_graph());
     std::vector<bool> keep(ilm.graph.num_nodes(), false);
     state.ResumeTiming();
-    MergeStats stats = merge_insensitive_pins(ilm.graph, keep);
+    MergeStats stats = merge_insensitive_pins(ilm.graph, keep, {}, threads);
     benchmark::DoNotOptimize(stats.pins_removed);
   }
 }
-BENCHMARK(BM_MergeInsensitivePins)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MergeInsensitivePins)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// Accuracy evaluation of that merged model against the flat bench
+// design under run_design's 4 constraint sets; Arg is the thread count
+// (one contiguous range of sets per thread).
+void BM_EvaluateAccuracy(benchmark::State& state) {
+  static const TimingGraph model = [] {
+    IlmResult ilm = extract_ilm(flat_graph());
+    merge_insensitive_pins(ilm.graph,
+                           std::vector<bool>(ilm.graph.num_nodes(), false));
+    return std::move(ilm.graph);
+  }();
+  const TimingGraph& flat = flat_graph();
+  Rng rng(0xE7A1);
+  std::vector<BoundaryConstraints> sets;
+  for (int i = 0; i < 4; ++i)
+    sets.push_back(random_constraints(flat.primary_inputs().size(),
+                                      flat.primary_outputs().size(), {}, rng));
+  Sta::Options opt;
+  opt.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const AccuracyReport rep = evaluate_accuracy(flat, model, sets, opt);
+    benchmark::DoNotOptimize(rep.max_err_ps);
+  }
+}
+BENCHMARK(BM_EvaluateAccuracy)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // One %.9g conversion of a LUT value: every index and value of the
 // flat graph's cell-arc tables, cycled. Arg(0) is plain std::to_chars,
@@ -379,7 +416,7 @@ BENCHMARK(BM_ServeMiss)->Unit(benchmark::kMicrosecond);
 // The .macro text of one model the size perfbench's generate workload
 // writes: the largest scale-1000 testing design (leon2_iccad_eval)
 // through run_design, with the filter picking the kept pins so that no
-// trained GNN is needed.
+// trained GNN is needed. Arg is the thread count of the size count.
 void BM_FormatMacroModel(benchmark::State& state) {
   static const MacroModel model = [] {
     FlowConfig cfg;
@@ -391,13 +428,18 @@ void BM_FormatMacroModel(benchmark::State& state) {
   }();
   std::size_t bytes = 0;
   for (auto _ : state) {
-    bytes = macro_model_size_bytes(model);
+    bytes = macro_model_size_bytes(model,
+                                   static_cast<std::size_t>(state.range(0)));
     benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_FormatMacroModel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FormatMacroModel)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

@@ -254,14 +254,13 @@ DesignResult Framework::evaluate(const Design& design, const TimingGraph& flat,
                                  MacroModel model, GenerationStats gen) const {
   DesignResult result;
   result.design = design.name();
-  result.model_file_bytes = macro_model_size_bytes(model);
+  result.model_file_bytes = macro_model_size_bytes(model, cfg_.threads);
   model.file_size_bytes = result.model_file_bytes;
   const auto sets = eval_sets(design);
   Sta::Options opt;
   opt.cppr = cfg_.cppr;
   opt.aocv = cfg_.aocv;
-  // Full-design reference runs dominate evaluation; macro-model runs
-  // fall under parallel_min_nodes and stay serial automatically.
+  // The constraint sets run in parallel, one engine pair per thread.
   opt.threads = cfg_.threads;
   result.acc = evaluate_accuracy(flat, model.graph, sets, opt);
   result.usage_peak_rss = peak_rss_bytes();
@@ -289,7 +288,7 @@ DesignResult Framework::run_design(const Design& design) {
   for (bool k : keep)
     if (k) ++gen.pins_kept;
 
-  merge_insensitive_pins(ilm.graph, keep, cfg_.merge);
+  merge_insensitive_pins(ilm.graph, keep, cfg_.merge, cfg_.threads);
   validate_stage(cfg_.validate_stages, "merge/index-selection", ilm.graph);
   gen.model_pins = ilm.graph.num_live_nodes();
   gen.generation_seconds = gen_sw.seconds();

@@ -88,11 +88,15 @@ struct FlowConfig {
   /// Worker threads for the compute-heavy stages: the TS labeling loop
   /// (per-pin re-analyses fanned over the shared pool), GNN training (one
   /// sample's forward/backward pass per task, gradients added in sample
-  /// order) and the full-design STA runs of accuracy evaluation
-  /// (levelized parallel passes). All are bit-identical to serial —
-  /// see docs/PERFORMANCE.md. 0 = auto
-  /// (TMM_THREADS when set, else hardware concurrency), 1 = serial,
-  /// N = at most N. Plumbed from the tmm CLI's --threads flag.
+  /// order), and in macro generation the composition of merged arcs (one
+  /// chain per task, owned and observed in chain order), the accuracy
+  /// runs (a contiguous range of constraint sets per thread, reduced in
+  /// set order) and the model-size count (interleaved blocks of arc
+  /// records per thread). All are bit-identical to serial — see
+  /// docs/PERFORMANCE.md.
+  /// 0 = auto (TMM_THREADS when set, else hardware concurrency),
+  /// 1 = serial, N = at most N. Plumbed from the tmm CLI's --threads
+  /// flag.
   std::size_t threads = 0;
 };
 

@@ -154,11 +154,7 @@ TrainReport train_model(GnnModel& model, std::span<const GraphSample> samples,
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     obs::Span epoch_span("gnn.epoch");
     Stopwatch epoch_sw;
-    if (threads == 1)
-      run_passes(0, samples.size());
-    else
-      util::TaskPool::shared().parallel_for(samples.size(), 1, threads,
-                                            run_passes);
+    util::parallel_chunks(samples.size(), 1, threads, run_passes);
     // The ordered reduction: gradients and losses add in sample order,
     // as a serial loop would add them.
     double epoch_loss = 0.0;

@@ -28,60 +28,72 @@ std::vector<double> load_grid(const GraphArc& arc) {
   return {idx.begin(), idx.end()};
 }
 
-/// Evaluate a whole chain exactly the way the analysis engine evaluates
-/// the unmerged pins, with the *input transition pinned to start_rf*:
-/// per-transition (delay, slew) tracks propagate through each segment's
+/// The per-transition (delay, slew) tracks of a chain walk between
+/// segments. The walk evaluates a chain exactly the way the analysis
+/// engine evaluates the unmerged pins, with the input transition pinned
+/// to the start transition: the tracks propagate through each segment's
 /// unateness, worst-casing only where a genuinely non-unate segment
 /// merges transitions — which is precisely the engine's recursion on a
-/// linear chain. Returns delay/slew at `out_rf` for input slew `s` and
-/// final load `load`; unreached transitions return +/-inf.
-ArcEval eval_chain(const Chain& chain, unsigned el, unsigned out_rf,
-                   unsigned start_rf, double s, double load,
-                   const AocvConfig& aocv) {
+/// linear chain. Unreached transitions end as +/-inf.
+struct ChainState {
+  double delay[kNumRf];
+  double slew[kNumRf];
+  bool active[kNumRf];
+};
+
+/// Tracks before the first segment: only `start_rf`, at slew `s`.
+ChainState chain_start(unsigned el, unsigned start_rf, double s) {
+  const double worst_init = el == kLate ? -1e300 : 1e300;
+  ChainState st{{worst_init, worst_init}, {worst_init, worst_init},
+                {false, false}};
+  st.delay[start_rf] = 0.0;
+  st.slew[start_rf] = s;
+  st.active[start_rf] = true;
+  return st;
+}
+
+/// The AOCV derate a segment's delay takes: its own depth's, unless it
+/// is a wire or already baked.
+double seg_derate(const ChainSeg& seg, unsigned el, const AocvConfig& aocv) {
+  return seg.arc.kind == GraphArcKind::kCell && !seg.arc.baked_derate
+             ? aocv.derate(el, seg.depth)
+             : 1.0;
+}
+
+/// Tracks after one segment of sense `sense`. `eval(irf, orf, in_slew)`
+/// is the segment's (delay, out slew) at output transition orf, driven
+/// by the input track irf at slew in_slew.
+template <typename Eval>
+ChainState chain_step(const ChainState& in, unsigned el, ArcSense sense,
+                      double derate, Eval&& eval) {
   const bool late = el == kLate;
   const double worst_init = late ? -1e300 : 1e300;
-  double delay[kNumRf] = {worst_init, worst_init};
-  double slew[kNumRf] = {worst_init, worst_init};
-  bool active[kNumRf] = {false, false};
-  delay[start_rf] = 0.0;
-  slew[start_rf] = s;
-  active[start_rf] = true;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const ChainSeg& seg = chain[i];
-    const bool last = i + 1 == chain.size();
-    const double seg_load =
-        last && arc_load_dependent(seg.arc) ? load : seg.load_ff;
-    const double derate = seg.arc.kind == GraphArcKind::kCell &&
-                                  !seg.arc.baked_derate
-                              ? aocv.derate(el, seg.depth)
-                              : 1.0;
-    double nd[kNumRf] = {worst_init, worst_init};
-    double nsw[kNumRf] = {worst_init, worst_init};
-    bool nactive[kNumRf] = {false, false};
-    for (unsigned irf = 0; irf < kNumRf; ++irf) {
-      if (!active[irf]) continue;
-      const unsigned mask = output_transitions(seg.arc.sense, irf);
-      for (unsigned orf = 0; orf < kNumRf; ++orf) {
-        if (!(mask & (1u << orf))) continue;
-        const ArcEval e = eval_arc(seg.arc, el, orf, slew[irf], seg_load);
-        const double cand_d = delay[irf] + e.delay * derate;
-        if (late ? cand_d > nd[orf] : cand_d < nd[orf]) nd[orf] = cand_d;
-        if (late ? e.out_slew > nsw[orf] : e.out_slew < nsw[orf])
-          nsw[orf] = e.out_slew;
-        nactive[orf] = true;
-      }
-    }
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      delay[rf] = nd[rf];
-      slew[rf] = nsw[rf];
-      active[rf] = nactive[rf];
+  ChainState out{{worst_init, worst_init}, {worst_init, worst_init},
+                 {false, false}};
+  for (unsigned irf = 0; irf < kNumRf; ++irf) {
+    if (!in.active[irf]) continue;
+    const unsigned mask = output_transitions(sense, irf);
+    for (unsigned orf = 0; orf < kNumRf; ++orf) {
+      if (!(mask & (1u << orf))) continue;
+      const ArcEval e = eval(irf, orf, in.slew[irf]);
+      const double cand_d = in.delay[irf] + e.delay * derate;
+      if (late ? cand_d > out.delay[orf] : cand_d < out.delay[orf])
+        out.delay[orf] = cand_d;
+      if (late ? e.out_slew > out.slew[orf] : e.out_slew < out.slew[orf])
+        out.slew[orf] = e.out_slew;
+      out.active[orf] = true;
     }
   }
-  if (!active[out_rf]) {
-    const double inf = late ? -kInfChain : kInfChain;
+  return out;
+}
+
+/// The chain's delay and slew at `out_rf` once every segment ran.
+ArcEval chain_result(const ChainState& st, unsigned el, unsigned out_rf) {
+  if (!st.active[out_rf]) {
+    const double inf = el == kLate ? -kInfChain : kInfChain;
     return {inf, inf};
   }
-  return {delay[out_rf], slew[out_rf]};
+  return {st.delay[out_rf], st.slew[out_rf]};
 }
 
 /// Envelope update: worst-case per component in the given corner.
@@ -100,20 +112,36 @@ void envelope(unsigned el, ArcEval cand, ArcEval& acc, bool& first) {
   }
 }
 
-/// Re-characterize `exact(el, rf, slew, load)`: sample it over the
-/// densified grids (kDefaultSlews when `slews` is empty; one load column
-/// when `loads` is empty, i.e. load-independent), select joint indices
-/// and materialize the final tables.
-template <typename EvalFn>
-ComposedTables resample(const std::vector<double>& slews,
-                        const std::vector<double>& loads, ArcSense sense,
-                        const IndexSelectionConfig& cfg, EvalFn&& exact) {
-  const std::vector<double> slew_axis = densify_axis(
-      slews.empty() ? std::span<const double>(kDefaultSlews) : slews);
-  const std::vector<double> load_axis = densify_axis(loads);
+/// The dense sampling grids of one re-characterization: the densified
+/// source grids (kDefaultSlews when there is no slew grid; no load axis,
+/// i.e. one column, when the function is load-independent).
+struct SampleAxes {
+  std::vector<double> slew;
+  std::vector<double> load;
+
+  SampleAxes(const std::vector<double>& slews,
+             const std::vector<double>& loads)
+      : slew(densify_axis(slews.empty()
+                              ? std::span<const double>(kDefaultSlews)
+                              : std::span<const double>(slews))),
+        load(densify_axis(loads)) {}
+
+  std::size_t columns() const { return std::max<std::size_t>(1, load.size()); }
+};
+
+/// Re-characterize an exact function over `axes`: sample it row by row,
+/// select joint indices and materialize the final tables.
+/// `row(el, rf, slew, d, s)` writes the function's delay and slew at
+/// input slew `slew` and every load column into d[0, columns) and
+/// s[0, columns).
+template <typename RowFn>
+ComposedTables resample(const SampleAxes& axes, ArcSense sense,
+                        const IndexSelectionConfig& cfg, RowFn&& row) {
+  const std::vector<double>& slew_axis = axes.slew;
+  const std::vector<double>& load_axis = axes.load;
   const bool twod = !load_axis.empty();
   const std::size_t ns = slew_axis.size();
-  const std::size_t nl = std::max<std::size_t>(1, load_axis.size());
+  const std::size_t nl = axes.columns();
 
   ElRf<std::vector<double>> dsamp;
   ElRf<std::vector<double>> ssamp;
@@ -123,14 +151,8 @@ ComposedTables resample(const std::vector<double>& slews,
       auto& sv = ssamp(el, rf);
       dv.resize(ns * nl);
       sv.resize(ns * nl);
-      for (std::size_t i = 0; i < ns; ++i) {
-        for (std::size_t j = 0; j < nl; ++j) {
-          const double load = twod ? load_axis[j] : 0.0;
-          const ArcEval e = exact(el, rf, slew_axis[i], load);
-          dv[i * nl + j] = e.delay;
-          sv[i * nl + j] = e.out_slew;
-        }
-      }
+      for (std::size_t i = 0; i < ns; ++i)
+        row(el, rf, slew_axis[i], &dv[i * nl], &sv[i * nl]);
     }
   }
 
@@ -151,7 +173,10 @@ ComposedTables resample(const std::vector<double>& slews,
       }
     }
   }
-  const auto sel_s = select_indices(slew_axis, slew_funcs, cfg);
+  ComposedTables out;
+  out.sense = sense;
+  out.selections.push_back(select_indices(slew_axis, slew_funcs, cfg));
+  const std::vector<std::size_t> sel_s = out.selections.back().positions;
 
   std::vector<std::size_t> sel_l;
   if (twod) {
@@ -170,7 +195,8 @@ ComposedTables resample(const std::vector<double>& slews,
         }
       }
     }
-    sel_l = select_indices(load_axis, load_funcs, cfg);
+    out.selections.push_back(select_indices(load_axis, load_funcs, cfg));
+    sel_l = out.selections.back().positions;
   }
 
   std::vector<double> s_idx;
@@ -178,8 +204,6 @@ ComposedTables resample(const std::vector<double>& slews,
   std::vector<double> l_idx;
   for (std::size_t j : sel_l) l_idx.push_back(load_axis[j]);
 
-  ComposedTables out;
-  out.sense = sense;
   for (unsigned el = 0; el < kNumEl; ++el) {
     for (unsigned rf = 0; rf < kNumRf; ++rf) {
       std::vector<double> dv;
@@ -246,12 +270,73 @@ ComposedTables compose_chain(const Chain& chain, ArcSense variant,
     slews = slew_grid(seg.arc);
     if (!slews.empty()) break;
   }
-  auto exact = [&](unsigned el, unsigned rf, double s, double load) {
+  const ChainSeg& last = chain.back();
+  const SampleAxes axes(slews, load_grid(last.arc));
+  const std::size_t nl = axes.columns();
+
+  // Only the last segment sees the sampled load (a load-independent one
+  // keeps its static load in its one column), so the walk up to it runs
+  // once per row and the last segment once per column. Its tables are
+  // located on the load axis once here and on the slew axis once per
+  // row: Lut::lookup is at(locate, locate), so the samples keep the
+  // bits of a pointwise walk.
+  const bool last_cell = last.arc.kind == GraphArcKind::kCell;
+  ElRf<std::vector<Lut::Pos>> dload;
+  ElRf<std::vector<Lut::Pos>> sload;
+  if (last_cell) {
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf)
+        for (std::size_t j = 0; j < nl; ++j) {
+          const double load = axes.load.empty() ? last.load_ff : axes.load[j];
+          dload(el, rf).push_back(
+              Lut::locate((*last.arc.delay)(el, rf).load_index(), load));
+          sload(el, rf).push_back(
+              Lut::locate((*last.arc.out_slew)(el, rf).load_index(), load));
+        }
+  }
+
+  auto row = [&](unsigned el, unsigned rf, double s, double* d, double* sl) {
     const unsigned start_rf =
         variant == ArcSense::kPositiveUnate ? rf : 1u - rf;
-    return eval_chain(chain, el, rf, start_rf, s, load, aocv);
+    ChainState st = chain_start(el, start_rf, s);
+    for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+      const ChainSeg& seg = chain[k];
+      st = chain_step(st, el, seg.arc.sense, seg_derate(seg, el, aocv),
+                      [&](unsigned, unsigned orf, double in_slew) {
+                        return eval_arc(seg.arc, el, orf, in_slew,
+                                        seg.load_ff);
+                      });
+    }
+    // Slew positions per (input track, output transition) of this row.
+    Lut::Pos dpos[kNumRf][kNumRf];
+    Lut::Pos spos[kNumRf][kNumRf];
+    for (unsigned irf = 0; irf < kNumRf; ++irf) {
+      if (!last_cell || !st.active[irf]) continue;
+      for (unsigned orf = 0; orf < kNumRf; ++orf) {
+        dpos[irf][orf] = Lut::locate(
+            (*last.arc.delay)(el, orf).slew_index(), st.slew[irf]);
+        spos[irf][orf] = Lut::locate(
+            (*last.arc.out_slew)(el, orf).slew_index(), st.slew[irf]);
+      }
+    }
+    const double derate = seg_derate(last, el, aocv);
+    for (std::size_t j = 0; j < nl; ++j) {
+      const ChainState end = chain_step(
+          st, el, last.arc.sense, derate,
+          [&](unsigned irf, unsigned orf, double in_slew) -> ArcEval {
+            if (!last_cell)
+              return eval_arc(last.arc, el, orf, in_slew, last.load_ff);
+            return {(*last.arc.delay)(el, orf).at(dpos[irf][orf],
+                                                  dload(el, orf)[j]),
+                    (*last.arc.out_slew)(el, orf).at(spos[irf][orf],
+                                                     sload(el, orf)[j])};
+          });
+      const ArcEval e = chain_result(end, el, rf);
+      d[j] = e.delay;
+      sl[j] = e.out_slew;
+    }
   };
-  return resample(slews, load_grid(chain.back().arc), variant, cfg, exact);
+  return resample(axes, variant, cfg, row);
 }
 
 ComposedTables compose_parallel(const GraphArc& a, const GraphArc& b,
@@ -267,19 +352,23 @@ ComposedTables compose_parallel(const GraphArc& a, const GraphArc& b,
       e.delay *= aocv.derate(el, from_depth);
     return e;
   };
-  auto exact = [&](unsigned el, unsigned orf, double s,
-                   double load) -> ArcEval {
-    ArcEval best{};
-    bool first = true;
-    envelope(el, derated(a, el, orf, s, load), best, first);
-    envelope(el, derated(b, el, orf, s, load), best, first);
-    return best;
-  };
   std::vector<double> slews = slew_grid(a);
   if (slews.empty()) slews = slew_grid(b);
   std::vector<double> loads = load_grid(a);
   if (loads.empty()) loads = load_grid(b);
-  return resample(slews, loads, sense, cfg, exact);
+  const SampleAxes axes(slews, loads);
+  auto row = [&](unsigned el, unsigned rf, double s, double* d, double* sl) {
+    for (std::size_t j = 0; j < axes.columns(); ++j) {
+      const double load = axes.load.empty() ? 0.0 : axes.load[j];
+      ArcEval best{};
+      bool first = true;
+      envelope(el, derated(a, el, rf, s, load), best, first);
+      envelope(el, derated(b, el, rf, s, load), best, first);
+      d[j] = best.delay;
+      sl[j] = best.out_slew;
+    }
+  };
+  return resample(axes, sense, cfg, row);
 }
 
 }  // namespace tmm

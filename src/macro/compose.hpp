@@ -9,15 +9,26 @@
 // selection picks slew indices jointly over every corner, surface and
 // load column, then load indices on the chosen slews, and the samples
 // at the chosen indices become table2d / table1d / scalar tables.
+// Sampling goes one row (one input slew, every load column) at a time.
+//
+// Composition reads only its arguments (value-copied segments and the
+// library tables they point to) and observes no metrics, so callers may
+// compose on several threads; each result carries its index selections
+// for the caller to observe in a fixed order.
 //
 // Serial (compose_chain): a chain u->...->w replaces the removed pins
 // between u and w; its exact function is the chain evaluated the way
-// the analysis engine walks the unmerged pins. The loads at the merged
-// pins are statically folded in (which is why pins electrically tied to
-// primary-output nets must never be merged — their load is a boundary
-// constraint). If the last arc is load-independent (a wire, or an
-// already-merged interior arc), the composite becomes a 1-D slew-only
-// table — the compact interior form iTimerM-style models use.
+// the analysis engine walks the unmerged pins. Only the last segment
+// sees the sampled load, so each row walks the segments before it once
+// and the last segment once per load column, with its tables located
+// on the load axis once per call and on the slew axis once per row —
+// the bits of a pointwise walk, since a lookup is at(locate, locate).
+// The loads at the merged pins are statically folded in (which is why
+// pins electrically tied to primary-output nets must never be merged —
+// their load is a boundary constraint). If the last arc is
+// load-independent (a wire, or an already-merged interior arc), the
+// composite becomes a 1-D slew-only table — the compact interior form
+// iTimerM-style models use.
 //
 // Parallel (compose_parallel): two arcs with the same endpoints are
 // replaced by their worst-case envelope (max for late, min for early).
@@ -48,6 +59,9 @@ struct ComposedTables {
   ArcSense sense = ArcSense::kPositiveUnate;
   ElRf<Lut> delay;
   ElRf<Lut> out_slew;
+  /// The index selections behind the tables, in selection order (slew,
+  /// then load when the tables are 2-D); see observe_selection.
+  std::vector<IndexSelection> selections;
 };
 
 /// Sense algebra for serial chains.

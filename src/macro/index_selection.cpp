@@ -20,20 +20,13 @@ obs::Histogram& g_points = obs::histogram("index.points", kPointBounds);
 obs::Histogram& g_residual =
     obs::histogram("index.residual_err_ps", kErrBounds);
 
-/// Metrics shared by both selection strategies: grid points kept and
-/// the residual (worst remaining) interpolation error of the chosen
-/// grid — the quantity the error-driven loop minimizes and the fixed
-/// grid ignores. One extra error sweep is ~1/budget of the selection
-/// cost itself.
-void record_selection(std::span<const double> xs,
-                      std::span<const std::vector<double>> funcs,
-                      std::span<const std::size_t> sel) {
-  g_selections.add();
-  g_points.observe(static_cast<double>(sel.size()));
-  double worst = 0.0;
-  for (const auto& f : funcs)
-    worst = std::max(worst, interpolation_error(xs, f, sel));
-  g_residual.observe(worst);
+/// Error at candidate position `i` of `func` when it is interpolated on
+/// the selected segment [lo, hi] that encloses it.
+double segment_error(std::span<const double> xs, std::span<const double> func,
+                     std::size_t lo, std::size_t hi, std::size_t i) {
+  const double t = (xs[i] - xs[lo]) / (xs[hi] - xs[lo]);
+  const double approx = func[lo] + t * (func[hi] - func[lo]);
+  return std::fabs(approx - func[i]);
 }
 
 /// Error at candidate position `i` of `func` under the selected grid.
@@ -45,9 +38,7 @@ double point_error(std::span<const double> xs, std::span<const double> func,
   const std::size_t hi = *it;
   const std::size_t lo = *(it - 1);
   if (lo == i || hi == i) return 0.0;
-  const double t = (xs[i] - xs[lo]) / (xs[hi] - xs[lo]);
-  const double approx = func[lo] + t * (func[hi] - func[lo]);
-  return std::fabs(approx - func[i]);
+  return segment_error(xs, func, lo, hi, i);
 }
 
 }  // namespace
@@ -61,14 +52,15 @@ double interpolation_error(std::span<const double> xs,
   return worst;
 }
 
-std::vector<std::size_t> select_indices(
-    std::span<const double> xs, std::span<const std::vector<double>> funcs,
-    const IndexSelectionConfig& cfg) {
+IndexSelection select_indices(std::span<const double> xs,
+                              std::span<const std::vector<double>> funcs,
+                              const IndexSelectionConfig& cfg) {
   const std::size_t n = xs.size();
-  std::vector<std::size_t> sel;
-  if (n == 0) return sel;
+  IndexSelection out;
+  std::vector<std::size_t>& sel = out.positions;
+  if (n == 0) return out;
   sel.push_back(0);
-  if (n == 1) return sel;
+  if (n == 1) return out;
   sel.push_back(n - 1);
   const std::size_t budget = std::max<std::size_t>(2, cfg.max_points);
 
@@ -92,29 +84,57 @@ std::vector<std::size_t> select_indices(
     }
     std::sort(sel.begin(), sel.end());
     sel.erase(std::unique(sel.begin(), sel.end()), sel.end());
-    record_selection(xs, funcs, sel);
-    return sel;
+    // The residual of a grid chosen without looking at the error: one
+    // sweep over every function.
+    for (const auto& f : funcs)
+      out.residual_ps =
+          std::max(out.residual_ps, interpolation_error(xs, f, sel));
+    return out;
   }
 
-  while (sel.size() < std::min(budget, n)) {
-    // Find the candidate with the largest error over all functions.
+  // err[i]: the worst error over all functions at candidate i under the
+  // current grid (0 at selected positions). An insertion at pos splits
+  // one segment (lo, hi), so only the candidates inside it change.
+  std::vector<double> err(n, 0.0);
+  auto refresh = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      double e = 0.0;
+      for (const auto& f : funcs)
+        e = std::max(e, segment_error(xs, f, lo, hi, i));
+      err[i] = e;
+    }
+  };
+  refresh(0, n - 1);
+  const std::size_t limit = std::min(budget, n);
+  while (true) {
+    // The candidate with the largest error: ascending scan, strict >,
+    // so the first of tied candidates wins.
     double worst_err = 0.0;
     std::size_t worst_pos = 0;
     for (std::size_t i = 1; i + 1 < n; ++i) {
-      if (std::binary_search(sel.begin(), sel.end(), i)) continue;
-      double err = 0.0;
-      for (const auto& f : funcs)
-        err = std::max(err, point_error(xs, f, sel, i));
-      if (err > worst_err) {
-        worst_err = err;
+      if (err[i] > worst_err) {
+        worst_err = err[i];
         worst_pos = i;
       }
     }
-    if (worst_err <= cfg.tolerance_ps) break;
-    sel.insert(std::upper_bound(sel.begin(), sel.end(), worst_pos), worst_pos);
+    // The last maximum is the residual of the final grid.
+    out.residual_ps = worst_err;
+    if (sel.size() >= limit || worst_err <= cfg.tolerance_ps) break;
+    const auto at = std::upper_bound(sel.begin(), sel.end(), worst_pos);
+    const std::size_t hi = *at;
+    const std::size_t lo = *(at - 1);
+    sel.insert(at, worst_pos);
+    err[worst_pos] = 0.0;
+    refresh(lo, worst_pos);
+    refresh(worst_pos, hi);
   }
-  record_selection(xs, funcs, sel);
-  return sel;
+  return out;
+}
+
+void observe_selection(const IndexSelection& sel) {
+  g_selections.add();
+  g_points.observe(static_cast<double>(sel.positions.size()));
+  g_residual.observe(sel.residual_ps);
 }
 
 std::vector<double> densify_axis(std::span<const double> base) {

@@ -10,6 +10,14 @@
 // Several functions sharing one axis (delay + slew, all early/late x
 // rise/fall corners, every load column) are selected jointly so a merged
 // arc needs only one index vector.
+//
+// The greedy loop keeps each candidate's worst error over all functions
+// and, after an insertion, recomputes only the candidates inside the one
+// segment it split — the same error expression, the same ascending scan
+// and strict > as a full rescan, so the same points win. The last
+// maximum the loop finds is the residual of the final grid. Selection
+// observes no metrics itself: callers that compose tables on several
+// threads observe the results in a fixed order (observe_selection).
 
 #include <cstddef>
 #include <span>
@@ -28,14 +36,27 @@ struct IndexSelectionConfig {
   bool error_driven = true;
 };
 
+/// The chosen positions and what they leave.
+struct IndexSelection {
+  /// Indices into the candidate axis, ascending; always the first and
+  /// last candidate.
+  std::vector<std::size_t> positions;
+  /// Worst interpolation error (ps) over every function and candidate
+  /// under `positions`.
+  double residual_ps = 0.0;
+};
+
 /// Select positions (indices into `xs`) such that linearly interpolating
 /// each function in `funcs` (each a vector of values parallel to `xs`)
 /// through the selected points minimizes the maximum error at the
-/// remaining candidates. Always contains the first and last position.
-/// `xs` must be ascending with size >= 2.
-std::vector<std::size_t> select_indices(
-    std::span<const double> xs, std::span<const std::vector<double>> funcs,
-    const IndexSelectionConfig& cfg);
+/// remaining candidates. `xs` must be ascending with size >= 2.
+IndexSelection select_indices(std::span<const double> xs,
+                              std::span<const std::vector<double>> funcs,
+                              const IndexSelectionConfig& cfg);
+
+/// Record one selection in the index.* metrics (docs/OBSERVABILITY.md):
+/// a count, the points kept and the residual error.
+void observe_selection(const IndexSelection& sel);
 
 /// Worst-case interpolation error of `func` over candidates `xs` when
 /// only the points at `selected` (ascending positions) are stored.

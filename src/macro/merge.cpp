@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/task_pool.hpp"
 
 namespace tmm {
 
@@ -219,31 +220,62 @@ void splice_out(TimingGraph& g, NodeId n, const std::vector<ArcId>& fin,
     g.node(n).dead = true;
 }
 
+/// The tables of one live chain arc, composed before any is owned: the
+/// first sense variant, and for a non-unate chain the negative-unate one.
+struct ChainSlot {
+  ArcId id = kInvalidId;
+  const Chain* chain = nullptr;
+  ArcSense sense = ArcSense::kPositiveUnate;
+  ComposedTables first;
+  ComposedTables negative;
+};
+
+void observe(const ComposedTables& ct) {
+  for (const IndexSelection& sel : ct.selections) observe_selection(sel);
+}
+
 /// Give every live chain arc its tables, in chain-map iteration order.
 /// Unate chains need one arc; non-unate chains split into a positive-
 /// and a negative-unate variant (appended) so each input transition
-/// keeps its own delay surface.
+/// keeps its own delay surface. The chains are composed on up to
+/// `threads` threads into per-arc slots; the slots are then owned, set,
+/// split and observed serially in slot order, so arc ids, table order
+/// and the index.* metrics match a serial run.
 void materialize_chains(TimingGraph& g, const ChainMap& chains,
-                        const MergeConfig& cfg, bool delta) {
-  for (const auto& [id, chain] : chains) {
-    if (g.arc(id).dead) continue;
-    const ArcSense sense = chain_sense(chain);
-    const ArcSense first = sense == ArcSense::kNegativeUnate
-                               ? ArcSense::kNegativeUnate
-                               : ArcSense::kPositiveUnate;
-    ComposedTables ct = compose_chain(chain, first, cfg.index, cfg.aocv);
-    const ElRf<Lut>* own_delay = g.own_tables(std::move(ct.delay));
-    g.set_cell_tables(id, own_delay, g.own_tables(std::move(ct.out_slew)));
-    GraphArc& arc = g.arc(id);
+                        const MergeConfig& cfg, bool delta,
+                        std::size_t threads) {
+  std::vector<ChainSlot> slots;
+  for (const auto& [id, chain] : chains)
+    if (!g.arc(id).dead)
+      slots.push_back({id, &chain, chain_sense(chain), {}, {}});
+  util::parallel_chunks(
+      slots.size(), 1, threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          ChainSlot& s = slots[k];
+          const ArcSense first = s.sense == ArcSense::kNegativeUnate
+                                     ? ArcSense::kNegativeUnate
+                                     : ArcSense::kPositiveUnate;
+          s.first = compose_chain(*s.chain, first, cfg.index, cfg.aocv);
+          if (s.sense == ArcSense::kNonUnate)
+            s.negative = compose_chain(*s.chain, ArcSense::kNegativeUnate,
+                                       cfg.index, cfg.aocv);
+        }
+      });
+  for (ChainSlot& s : slots) {
+    observe(s.first);
+    const ElRf<Lut>* own_delay = g.own_tables(std::move(s.first.delay));
+    g.set_cell_tables(s.id, own_delay,
+                      g.own_tables(std::move(s.first.out_slew)));
+    GraphArc& arc = g.arc(s.id);
     arc.kind = GraphArcKind::kCell;
-    arc.sense = first;
+    arc.sense = s.first.sense;
     arc.baked_derate = true;
-    if (sense != ArcSense::kNonUnate) continue;
-    ct = compose_chain(chain, ArcSense::kNegativeUnate, cfg.index, cfg.aocv);
+    if (s.sense != ArcSense::kNonUnate) continue;
+    observe(s.negative);
     const NodeId from = arc.from;
     const NodeId to = arc.to;
-    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
+    const ElRf<Lut>* dt = g.own_tables(std::move(s.negative.delay));
+    const ElRf<Lut>* st = g.own_tables(std::move(s.negative.out_slew));
     const ArcId neg =
         add_arc(g, from, to, ArcSense::kNegativeUnate, dt, st, delta);
     g.arc(neg).baked_derate = true;
@@ -279,6 +311,7 @@ std::size_t fold_parallel(TimingGraph& g, ArcId begin,
     const GraphArc rep = g.arc(repid);
     ComposedTables ct = compose_parallel(rep, arc, cfg.index, cfg.aocv,
                                          g.node(arc.from).aocv_depth);
+    observe(ct);
     const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
     const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
     kill_arc(g, repid, delta);
@@ -304,7 +337,8 @@ bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg) {
 
 MergeStats merge_insensitive_pins(TimingGraph& g,
                                   const std::vector<bool>& keep,
-                                  const MergeConfig& cfg) {
+                                  const MergeConfig& cfg,
+                                  std::size_t threads) {
   obs::Span span("macro.merge");
   MergeStats stats;
   LocalAdjacency adj(g);
@@ -341,9 +375,14 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
   }
 
   // Materialize every surviving chain arc in one end-to-end sampling.
-  materialize_chains(g, chains, cfg, /*delta=*/false);
-
-  stats.parallel_arcs_merged = merge_parallel_arcs(g, cfg);
+  {
+    obs::Span compose_span("macro.compose");
+    materialize_chains(g, chains, cfg, /*delta=*/false, threads);
+  }
+  {
+    obs::Span fold_span("macro.fold");
+    stats.parallel_arcs_merged = merge_parallel_arcs(g, cfg);
+  }
   g_pins_removed.add(stats.pins_removed);
   g_serial_arcs.add(stats.serial_arcs_created);
   g_parallel_arcs.add(stats.parallel_arcs_merged);
@@ -412,7 +451,7 @@ bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   splice_out(g, pin, fin, fout, chains, /*delta=*/true);
   killed_.insert(killed_.end(), fin.begin(), fin.end());
   killed_.insert(killed_.end(), fout.begin(), fout.end());
-  materialize_chains(g, chains, cfg, /*delta=*/true);
+  materialize_chains(g, chains, cfg, /*delta=*/true, /*threads=*/1);
   fold_parallel(g, static_cast<ArcId>(base_arcs_), pristine_keys_, cfg,
                 /*delta=*/true, killed_);
   // Every node whose fanin or fanout arc set changed: the removed pin

@@ -59,9 +59,13 @@ struct MergeStats {
 bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg);
 
 /// Remove every node with keep[n] == false that is legally mergeable.
-/// `keep` is indexed by node id of `g`.
+/// `keep` is indexed by node id of `g`. The merged arcs' tables are
+/// composed on up to `threads` threads of the shared pool (0 = the
+/// whole pool); the graph and the index.* metrics are the same at any
+/// thread count.
 MergeStats merge_insensitive_pins(TimingGraph& g, const std::vector<bool>& keep,
-                                  const MergeConfig& cfg = {});
+                                  const MergeConfig& cfg = {},
+                                  std::size_t threads = 1);
 
 /// Collapse parallel duplicate delay arcs (same from/to) into envelopes.
 std::size_t merge_parallel_arcs(TimingGraph& g, const MergeConfig& cfg = {});

@@ -1,5 +1,6 @@
 #include "macro/model_io.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <istream>
@@ -12,6 +13,7 @@
 #include "fault/token_reader.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_io.hpp"
+#include "util/task_pool.hpp"
 #include "util/text_out.hpp"
 
 namespace tmm {
@@ -58,77 +60,130 @@ ElRf<Lut> read_tables(TokenReader& tr) {
   return t;
 }
 
+/// Compact ids of the live nodes (kInvalidId for dead ones), in id order.
+std::vector<NodeId> compact_node_ids(const TimingGraph& g) {
+  std::vector<NodeId> to_compact(g.num_nodes(), kInvalidId);
+  NodeId live = 0;
+  for (NodeId n = 0; n < g.num_nodes(); ++n)
+    if (!g.node(n).dead) to_compact[n] = live++;
+  return to_compact;
+}
+
+/// Formats records of one model into one buffer. Each table set is
+/// formatted once per writer: unmerged cell arcs and checks share the
+/// library's ElRf<Lut>, so a pointer seen before appends a copy of the
+/// bytes (offset, length) it wrote the first time. A table's text does
+/// not depend on where it is written, so writers over disjoint record
+/// ranges add up to the bytes of one writer over all of them.
+///
+/// A counting writer (keep_text false) only measures: a table set seen
+/// before adds its length instead of a copy, and flush() drops the text
+/// written so far, so it never holds more than one flush's worth.
+class ModelWriter {
+ public:
+  ModelWriter(const TimingGraph& g, const std::vector<NodeId>& to_compact,
+              bool keep_text)
+      : g_(g), to_compact_(to_compact), keep_text_(keep_text) {}
+
+  void header(const std::string& design_name) {
+    std::size_t live = 0;
+    for (NodeId n = 0; n < g_.num_nodes(); ++n)
+      if (!g_.node(n).dead) ++live;
+    std::size_t live_arcs = 0;
+    for (ArcId a = 0; a < g_.num_arcs(); ++a)
+      if (!g_.arc(a).dead) ++live_arcs;
+    std::size_t live_checks = 0;
+    for (const auto& c : g_.checks())
+      if (!c.dead) ++live_checks;
+    buf_ << "macro " << design_name << ' ' << live << ' ' << live_arcs << ' '
+         << live_checks << '\n';
+  }
+
+  void nodes() {
+    for (NodeId n = 0; n < g_.num_nodes(); ++n) {
+      const auto& node = g_.node(n);
+      if (node.dead) continue;
+      unsigned flags = 0;
+      if (node.is_clock_root) flags |= 1u;
+      if (node.in_clock_network) flags |= 2u;
+      if (node.is_ff_clock) flags |= 4u;
+      if (node.is_ff_data) flags |= 8u;
+      buf_ << "node " << node.name << ' ' << static_cast<int>(node.role)
+           << ' ' << node.port_ordinal << ' ' << flags << ' '
+           << node.static_load_ff << ' ' << node.aocv_depth << ' '
+           << node.attached_po_loads.size();
+      for (auto po : node.attached_po_loads) buf_ << ' ' << po;
+      buf_ << '\n';
+    }
+  }
+
+  /// The arc records with ids in [begin, end).
+  void arcs(ArcId begin, ArcId end) {
+    for (ArcId a = begin; a < end; ++a) {
+      const auto& arc = g_.arc(a);
+      if (arc.dead) continue;
+      buf_ << "arc " << to_compact_[arc.from] << ' ' << to_compact_[arc.to]
+           << ' ' << static_cast<int>(arc.kind) << ' '
+           << static_cast<int>(arc.sense) << ' ' << (arc.is_launch ? 1 : 0)
+           << ' ' << (arc.baked_derate ? 1 : 0) << ' ' << arc.wire_delay_ps
+           << '\n';
+      if (arc.kind == GraphArcKind::kCell) {
+        tables(arc.delay);
+        tables(arc.out_slew);
+      }
+    }
+  }
+
+  void checks() {
+    for (const auto& c : g_.checks()) {
+      if (c.dead) continue;
+      buf_ << "check " << to_compact_[c.clock] << ' ' << to_compact_[c.data]
+           << ' ' << (c.is_setup ? 1 : 0) << '\n';
+      tables(c.guard);
+    }
+  }
+
+  /// Bytes of every record written so far.
+  std::size_t size() const noexcept { return dropped_ + buf_.size(); }
+  std::string take() && { return std::move(buf_).take(); }
+
+  void flush() {
+    if (keep_text_) return;
+    dropped_ += buf_.size();
+    buf_.clear();
+  }
+
+ private:
+  void tables(const ElRf<Lut>* t) {
+    const auto [it, fresh] = written_.try_emplace(t, buf_.size(), 0);
+    if (fresh) {
+      write_tables(buf_, *t);
+      it->second.second = buf_.size() - it->second.first;
+    } else if (keep_text_) {
+      buf_.append_copy(it->second.first, it->second.second);
+    } else {
+      dropped_ += it->second.second;
+    }
+  }
+
+  const TimingGraph& g_;
+  const std::vector<NodeId>& to_compact_;
+  const bool keep_text_;
+  std::size_t dropped_ = 0;  ///< bytes a counting writer measured and dropped
+  util::TextOut buf_{9};
+  std::unordered_map<const ElRf<Lut>*, std::pair<std::size_t, std::size_t>>
+      written_;
+};
+
 std::string format_macro_model(const MacroModel& model) {
   const TimingGraph& g = model.graph;
-  util::TextOut buf(9);
-
-  // Each table set is formatted once per model: unmerged cell arcs and
-  // checks share the library's ElRf<Lut>, so a pointer seen before
-  // appends a copy of the bytes (offset, length) it wrote the first time.
-  std::unordered_map<const ElRf<Lut>*, std::pair<std::size_t, std::size_t>>
-      written;
-  auto tables = [&](const ElRf<Lut>* t) {
-    const auto [it, fresh] = written.try_emplace(t, buf.size(), 0);
-    if (fresh) {
-      write_tables(buf, *t);
-      it->second.second = buf.size() - it->second.first;
-    } else {
-      buf.append_copy(it->second.first, it->second.second);
-    }
-  };
-
-  // Compact live node ids.
-  std::vector<NodeId> to_compact(g.num_nodes(), kInvalidId);
-  std::size_t live = 0;
-  for (NodeId n = 0; n < g.num_nodes(); ++n)
-    if (!g.node(n).dead) to_compact[n] = static_cast<NodeId>(live++);
-
-  std::size_t live_arcs = 0;
-  for (ArcId a = 0; a < g.num_arcs(); ++a)
-    if (!g.arc(a).dead) ++live_arcs;
-  std::size_t live_checks = 0;
-  for (const auto& c : g.checks())
-    if (!c.dead) ++live_checks;
-
-  buf << "macro " << model.design_name << ' ' << live << ' ' << live_arcs
-      << ' ' << live_checks << '\n';
-
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const auto& node = g.node(n);
-    if (node.dead) continue;
-    unsigned flags = 0;
-    if (node.is_clock_root) flags |= 1u;
-    if (node.in_clock_network) flags |= 2u;
-    if (node.is_ff_clock) flags |= 4u;
-    if (node.is_ff_data) flags |= 8u;
-    buf << "node " << node.name << ' ' << static_cast<int>(node.role) << ' '
-        << node.port_ordinal << ' ' << flags << ' ' << node.static_load_ff
-        << ' ' << node.aocv_depth << ' ' << node.attached_po_loads.size();
-    for (auto po : node.attached_po_loads) buf << ' ' << po;
-    buf << '\n';
-  }
-
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const auto& arc = g.arc(a);
-    if (arc.dead) continue;
-    buf << "arc " << to_compact[arc.from] << ' ' << to_compact[arc.to] << ' '
-        << static_cast<int>(arc.kind) << ' ' << static_cast<int>(arc.sense)
-        << ' ' << (arc.is_launch ? 1 : 0) << ' ' << (arc.baked_derate ? 1 : 0)
-        << ' ' << arc.wire_delay_ps << '\n';
-    if (arc.kind == GraphArcKind::kCell) {
-      tables(arc.delay);
-      tables(arc.out_slew);
-    }
-  }
-
-  for (const auto& c : g.checks()) {
-    if (c.dead) continue;
-    buf << "check " << to_compact[c.clock] << ' ' << to_compact[c.data] << ' '
-        << (c.is_setup ? 1 : 0) << '\n';
-    tables(c.guard);
-  }
-
-  return std::move(buf).take();
+  const std::vector<NodeId> to_compact = compact_node_ids(g);
+  ModelWriter w(g, to_compact, /*keep_text=*/true);
+  w.header(model.design_name);
+  w.nodes();
+  w.arcs(0, static_cast<ArcId>(g.num_arcs()));
+  w.checks();
+  return std::move(w).take();
 }
 
 }  // namespace
@@ -139,9 +194,38 @@ std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
   return s.size();
 }
 
-std::size_t macro_model_size_bytes(const MacroModel& model) {
+std::size_t macro_model_size_bytes(const MacroModel& model,
+                                   std::size_t threads) {
   obs::Span span("macro.size");
-  return format_macro_model(model).size();
+  const TimingGraph& g = model.graph;
+  const std::vector<NodeId> to_compact = compact_node_ids(g);
+  ModelWriter rest(g, to_compact, /*keep_text=*/false);
+  rest.header(model.design_name);
+  rest.nodes();
+  rest.checks();
+  // The arc records (nearly all of the text) on `writers` threads, each
+  // with its own counting writer over every writers-th block of arc
+  // ids: merged arcs, whose tables are formatted rather than copied, sit
+  // at the end of the id range, so interleaved blocks spread them.
+  constexpr std::size_t kBlock = 64;
+  const std::size_t writers =
+      threads == 0 ? util::TaskPool::default_threads() : threads;
+  const std::size_t arcs = g.num_arcs();
+  std::vector<std::size_t> bytes(writers, 0);
+  util::parallel_chunks(writers, 1, writers, [&](std::size_t b, std::size_t e) {
+    for (std::size_t r = b; r < e; ++r) {
+      ModelWriter w(g, to_compact, /*keep_text=*/false);
+      for (std::size_t lo = r * kBlock; lo < arcs; lo += writers * kBlock) {
+        w.arcs(static_cast<ArcId>(lo),
+               static_cast<ArcId>(std::min(arcs, lo + kBlock)));
+        w.flush();
+      }
+      bytes[r] = w.size();
+    }
+  });
+  std::size_t total = rest.size();
+  for (std::size_t b : bytes) total += b;
+  return total;
 }
 
 fault::Status bind_port_ordinals(TimingGraph& g) {

@@ -20,8 +20,11 @@ std::size_t write_macro_model(const MacroModel& model, std::ostream& os);
 
 /// Measure the serialized size without keeping the bytes. Formats the
 /// graph every call; never trusts MacroModel::file_size_bytes (0 on a
-/// model fresh from read_macro_model).
-std::size_t macro_model_size_bytes(const MacroModel& model);
+/// model fresh from read_macro_model). The arc records are counted in
+/// interleaved blocks on up to `threads` threads of the shared pool
+/// (0 = the whole pool); the count is the same at any thread count.
+std::size_t macro_model_size_bytes(const MacroModel& model,
+                                   std::size_t threads = 1);
 
 /// Parse a model previously produced by write_macro_model. Malformed
 /// input raises fault::FlowError(kParse) with `source`:line and the

@@ -245,10 +245,7 @@ TsResult evaluate_timing_sensitivity(const TimingGraph& ilm,
       heartbeat(done.fetch_add(1, std::memory_order_relaxed) + 1);
     }
   };
-  if (slots == 1)
-    worker(0, 1);  // inline: a serial run starts no pool workers
-  else
-    util::TaskPool::shared().parallel_for(slots, 1, slots, worker);
+  util::parallel_chunks(slots, 1, slots, worker);
   out.evaluated_pins = work.size();
   span.set_arg("pins", static_cast<double>(out.evaluated_pins));
   obs::trace_rss_sample();

@@ -61,20 +61,6 @@ constexpr std::size_t kLevelGrain = 16;
 /// relaxations when CPPR walks clock chains, so chunk fewer of them.
 constexpr std::size_t kCheckGrain = 8;
 
-/// Run body(begin, end) over [0, n). With par == 1 the whole range runs
-/// inline on the caller and the shared pool is never touched, so
-/// single-threaded processes (serve, the default CLI) start no pool
-/// workers; otherwise the range is chunked over the shared pool, whose
-/// parallel_for returns only after every chunk ran (the level barrier).
-template <typename Fn>
-void for_chunks(std::size_t n, std::size_t grain, std::size_t par, Fn&& body) {
-  if (par == 1) {
-    body(std::size_t{0}, n);
-    return;
-  }
-  util::TaskPool::shared().parallel_for(n, grain, par, body);
-}
-
 // Metric handles resolved once at namespace scope: the TS loop runs the
 // engine once per pin per constraint set, and the registry name lookup
 // plus the guard check of a function-local static are measurable there.
@@ -211,11 +197,11 @@ void Sta::forward(const BoundaryConstraints& bc, std::size_t par) {
   // starts.
   for (std::size_t l = 0; l < topo_.num_levels(); ++l) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    for_chunks(nodes.size(), kLevelGrain, par,
-               [&](std::size_t b, std::size_t e) {
-                 for (std::size_t i = b; i < e; ++i)
-                   relax_forward_node(nodes[i], bc, topo_.fanin(nodes[i]));
-               });
+    util::parallel_chunks(
+        nodes.size(), kLevelGrain, par, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i)
+            relax_forward_node(nodes[i], bc, topo_.fanin(nodes[i]));
+        });
   }
 }
 
@@ -391,12 +377,12 @@ void Sta::seed_backward(const BoundaryConstraints& bc, std::size_t par) {
   // lanes (min/max, order-free) — so results do not depend on how pins
   // are chunked. Reads (clock slew/at, pred chains) are finalized
   // forward-pass state.
-  for_chunks(topo_.check_pins.size(), kCheckGrain, par,
-             [&](std::size_t b, std::size_t e) {
-               for (std::size_t i = b; i < e; ++i)
-                 for (std::uint32_t cid : topo_.checks_of_pin(i))
-                   apply_check_seed(graph_->check(cid), bc);
-             });
+  util::parallel_chunks(topo_.check_pins.size(), kCheckGrain, par,
+                        [&](std::size_t b, std::size_t e) {
+                          for (std::size_t i = b; i < e; ++i)
+                            for (std::uint32_t cid : topo_.checks_of_pin(i))
+                              apply_check_seed(graph_->check(cid), bc);
+                        });
 }
 
 void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
@@ -451,14 +437,14 @@ void Sta::backward(std::size_t par) {
   // rat lanes, so nodes within a level are independent.
   for (std::size_t l = topo_.num_levels(); l-- > 0;) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    for_chunks(nodes.size(), kLevelGrain, par,
-               [&](std::size_t b, std::size_t e) {
-                 for (std::size_t i = b; i < e; ++i) {
-                   const NodeId u = nodes[i];
-                   if (graph_->node(u).in_clock_network) continue;
-                   relax_backward_arcs(u, topo_.fanout(u));
-                 }
-               });
+    util::parallel_chunks(
+        nodes.size(), kLevelGrain, par, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) {
+            const NodeId u = nodes[i];
+            if (graph_->node(u).in_clock_network) continue;
+            relax_backward_arcs(u, topo_.fanout(u));
+          }
+        });
   }
 }
 

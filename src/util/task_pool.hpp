@@ -144,4 +144,18 @@ class TaskPool {
   std::vector<std::thread> workers_;
 };
 
+/// Run fn(begin, end) over [0, n) on the shared pool with at most
+/// `threads` threads (0 = the whole pool). threads == 1 runs the whole
+/// range inline as one fn(0, n) call and never touches the pool, so a
+/// serial process starts no pool workers.
+template <typename Fn>
+void parallel_chunks(std::size_t n, std::size_t grain, std::size_t threads,
+                     Fn&& fn) {
+  if (threads == 1) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  TaskPool::shared().parallel_for(n, grain, threads, fn);
+}
+
 }  // namespace tmm::util

@@ -61,6 +61,8 @@ class TextOut {
   }
 
   std::size_t size() const noexcept { return text_.size(); }
+  /// Drops the text written so far and keeps the buffer for reuse.
+  void clear() noexcept { text_.clear(); }
   const std::string& str() const noexcept { return text_; }
   std::string take() && { return std::move(text_); }
 

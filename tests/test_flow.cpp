@@ -144,24 +144,36 @@ std::vector<std::string> stage_names(const std::vector<obs::SpanTotal>& st) {
 }
 
 /// Stage timings are the spans directly under the run's root span, one
-/// name per stage; an untraced run has none and the same results.
+/// name per stage; an untraced run has none and the same results. The
+/// list is the same at every thread count: the stages that run on pool
+/// threads open their spans inside the caller's stage span.
 TEST_F(FlowTest, RunDesignStageTimingsAreTheRootSpansChildren) {
-  Framework& fw = trained();
+  std::stringstream weights;
+  trained().model().save(weights);
+  const std::string text = weights.str();
   const Design d = test::make_tiny_design("stages", 77);
-  obs::reset_trace();
-  obs::set_tracing_enabled(true);
-  const DesignResult traced = fw.run_design(d);
-  obs::set_tracing_enabled(false);
-  obs::reset_trace();
-  EXPECT_EQ(stage_names(traced.stage_timings),
-            (std::vector<std::string>{"sta.graph_build", "macro.ilm",
-                                      "gnn.infer", "macro.merge",
-                                      "macro.size", "macro.evaluate"}));
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    FlowConfig cfg = trained().config();
+    cfg.threads = threads;
+    Framework fw(cfg);
+    std::stringstream in(text);
+    fw.set_model(GnnModel::load(in));
+    obs::reset_trace();
+    obs::set_tracing_enabled(true);
+    const DesignResult traced = fw.run_design(d);
+    obs::set_tracing_enabled(false);
+    obs::reset_trace();
+    EXPECT_EQ(stage_names(traced.stage_timings),
+              (std::vector<std::string>{"sta.graph_build", "macro.ilm",
+                                        "gnn.infer", "macro.merge",
+                                        "macro.size", "macro.evaluate"}));
 
-  const DesignResult untraced = fw.run_design(d);
-  EXPECT_TRUE(untraced.stage_timings.empty());
-  EXPECT_EQ(untraced.acc.max_err_ps, traced.acc.max_err_ps);
-  EXPECT_EQ(untraced.model_file_bytes, traced.model_file_bytes);
+    const DesignResult untraced = fw.run_design(d);
+    EXPECT_TRUE(untraced.stage_timings.empty());
+    EXPECT_EQ(untraced.acc.max_err_ps, traced.acc.max_err_ps);
+    EXPECT_EQ(untraced.model_file_bytes, traced.model_file_bytes);
+  }
 }
 
 TEST_F(FlowTest, TrainStageTimingsArePerDesignThenTraining) {

@@ -74,14 +74,14 @@ run_sanitize() {
 }
 
 run_tsan() {
-  echo "== check: TSan (parallel STA + incremental TS loop + GNN training + serving engine) =="
+  echo "== check: TSan (parallel STA + incremental TS loop + GNN training + macro generation + serving engine) =="
   cmake -S "$ROOT" -B "$ROOT/build-check-tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTMM_WERROR=ON \
     -DTMM_SANITIZE=thread >/dev/null
   cmake --build "$ROOT/build-check-tsan" -j"$JOBS" --target tmm_tests
   TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-check-tsan/tests/tmm_tests" \
-    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:GnnGolden.*:GnnParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:TsIsolation.*:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
+    --gtest_filter='StaIncremental.*:StaParallel.*:StaGolden.*:GnnGolden.*:GnnParallel.*:TaskPool.*:MergeDelta.*:TsIncremental.*:TsParallel.*:TsIsolation.*:MergeParallel.*:EvaluateParallel.*:ModelSizeParallel.*:FlowTest.RunDesignStageTimingsAreTheRootSpansChildren:Server.*:ServeClient.*:ResultCache.*:Evaluator.*:FlightRecorder.*:SlidingWindow.*:ServeAdmin.*:Reload.*'
 }
 
 run_tidy() {
@@ -132,7 +132,7 @@ run_lockorder() {
   # real mutexes fails the suite (the deliberate inversions in
   # LockOrder.* reset their observations).
   "$ROOT/build-check-lockorder/tests/tmm_tests" \
-    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:StaGolden*:Server*:ServeClient*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
+    --gtest_filter='LockOrder.*:TaskPool*:StaParallel*:StaGolden*:MergeParallel*:EvaluateParallel*:ModelSizeParallel*:Server*:ServeClient*:ResultCache*:Evaluator*:Registry*:Reload*:Tmb*:Protocol*:Obs*:Fault*:ServeLint*:ServeStats*:ServeAdmin*:FlightRecorder*:SlidingWindow*:LatencyBuckets*'
   # Self-audit gate: dump the registered lock hierarchy and fail on any
   # cycle (exit 3).
   "$ROOT/build-check-lockorder/tools/tmm" lint --concurrency

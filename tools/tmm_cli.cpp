@@ -64,11 +64,12 @@
 //                  docs/ROBUSTNESS.md and the TMM_FAULT env variable)
 //
 // --threads N on the analysis commands caps the worker count of the
-// STA runs, the TS loop and GNN training (`train`, `flow`: one
-// training design per task) (N >= 1); without it the count is
-// automatic (TMM_THREADS when set, else hardware concurrency). All
-// three run on one shared worker pool of that automatic size, so an N
-// above it gets the pool's size. On `serve` it sets the request worker
+// STA runs, the TS loop, GNN training (`train`, `flow`: one training
+// design per task) and macro generation (`generate`, `flow`: merged-arc
+// composition, the accuracy sets, the model-size count) (N >= 1);
+// without it the count is automatic (TMM_THREADS when set, else
+// hardware concurrency). All of them run on one shared worker pool of
+// that automatic size, so an N above it gets the pool's size. On `serve` it sets the request worker
 // count as before. Parallel runs are bit-identical to serial, .gnn
 // weights included (docs/PERFORMANCE.md).
 //
