@@ -4,8 +4,8 @@
 // propagation, GraphSAGE inference and training epochs (1/2/4 threads),
 // the GNN GEMM kernels (both bodies), feature extraction, ILM
 // extraction, merging and accuracy evaluation (1/2 threads), one %.9g
-// conversion, .macro formatting and the TS evaluation loop (1/2/4/8
-// threads).
+// conversion, .macro formatting, .macro/.dsn parsing, the .tmb CRC and
+// the TS evaluation loop (1/2/4/8 threads).
 //
 // BM_SpeedupRecords times serial vs parallel full STA on a large
 // synthetic design (`speedup_parallel`, with a bitwise serial/parallel
@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <unistd.h>
@@ -30,6 +32,7 @@
 #include "liberty/library_gen.hpp"
 #include "macro/model_io.hpp"
 #include "netlist/design_gen.hpp"
+#include "netlist/netlist_io.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sliding_window.hpp"
@@ -417,7 +420,7 @@ BENCHMARK(BM_ServeMiss)->Unit(benchmark::kMicrosecond);
 // writes: the largest scale-1000 testing design (leon2_iccad_eval)
 // through run_design, with the filter picking the kept pins so that no
 // trained GNN is needed. Arg is the thread count of the size count.
-void BM_FormatMacroModel(benchmark::State& state) {
+const MacroModel& leon2_model() {
   static const MacroModel model = [] {
     FlowConfig cfg;
     cfg.label_all_remained = true;
@@ -426,6 +429,11 @@ void BM_FormatMacroModel(benchmark::State& state) {
         generate_design(lib(), tau_testing_suite(lib(), 1000)[4].cfg);
     return fw.run_design(d).model;
   }();
+  return model;
+}
+
+void BM_FormatMacroModel(benchmark::State& state) {
+  const MacroModel& model = leon2_model();
   std::size_t bytes = 0;
   for (auto _ : state) {
     bytes = macro_model_size_bytes(model,
@@ -440,6 +448,56 @@ BENCHMARK(BM_FormatMacroModel)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// Parsing the .macro text BM_FormatMacroModel formats, from memory.
+void BM_ReadMacroModel(benchmark::State& state) {
+  static const std::string text = [] {
+    std::ostringstream os;
+    write_macro_model(leon2_model(), os);
+    return os.str();
+  }();
+  for (auto _ : state) {
+    std::istringstream is(text);
+    const MacroModel m = read_macro_model(is);
+    benchmark::DoNotOptimize(m.graph.num_nodes());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadMacroModel)->Unit(benchmark::kMillisecond);
+
+// Parsing the .dsn text of the STA benchmarks' design, from memory.
+void BM_ReadDesign(benchmark::State& state) {
+  static const std::string text = [] {
+    std::ostringstream os;
+    write_design(design(), os);
+    return os.str();
+  }();
+  for (auto _ : state) {
+    std::istringstream is(text);
+    const Design d = read_design(is, lib());
+    benchmark::DoNotOptimize(d.num_pins());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadDesign)->Unit(benchmark::kMillisecond);
+
+// The .tmb payload checksum over 4 MB, about a third of the five
+// models perfbench's serve workload packs.
+void BM_Crc32(benchmark::State& state) {
+  static const std::vector<unsigned char> buf = [] {
+    std::vector<unsigned char> b(4u << 20);
+    Rng rng(32);
+    for (auto& c : b) c = static_cast<unsigned char>(rng() >> 56);
+    return b;
+  }();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(serve::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

@@ -4,11 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "analysis/model_lint.hpp"
 #include "fault/fault.hpp"
+#include "fault/token_reader.hpp"
 #include "serve/tmb.hpp"
 
 namespace tmm::analysis {
@@ -68,9 +68,7 @@ LintReport lint_tmb_file(const std::string& path) {
                "check the path and permissions");
     return report;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return lint_tmb_image(buf.str(), path);
+  return lint_tmb_image(io::read_rest(is), path);
 }
 
 LintReport lint_registry_dir(const std::string& dir) {
@@ -99,9 +97,7 @@ LintReport lint_registry_dir(const std::string& dir) {
     report.merge(std::move(file_report));
     if (!loadable) continue;
     std::ifstream is(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string image = buf.str();
+    const std::string image = io::read_rest(is);
     serve::TmbLayout layout;
     if (!serve::walk_tmb(image, layout).empty()) continue;
     const std::string name(layout.design_name);

@@ -7,25 +7,36 @@
 //
 // and so non-finite numeric fields (NaN in a LUT, Inf in a weight) are
 // rejected at the parse boundary instead of corrupting timing silently.
+//
+// The reader takes the whole stream into one buffer when it is built;
+// tokens are views into that buffer. Numbers parse with std::from_chars;
+// any token it does not take whole (a leading '+', a hexfloat, a value
+// out of range, trailing junk) goes through strtod/strtoull/strtol, so
+// every value and every diagnostic is the one those functions give.
 
 #include <cstdint>
 #include <istream>
 #include <string>
+#include <string_view>
 
 #include "fault/fault.hpp"
 
 namespace tmm::io {
 
+/// The rest of `is`, from its position to end of input, in one string
+/// sized from what its buffer says is left (all of a file or string).
+std::string read_rest(std::istream& is);
+
 class TokenReader {
  public:
+  /// Reads all of `is` (from its current position to end of input).
   /// `source` names the stream in diagnostics (file path, or a logical
   /// name like "<macro>" when parsing from memory).
-  TokenReader(std::istream& is, std::string source)
-      : is_(is), source_(std::move(source)) {}
+  TokenReader(std::istream& is, std::string source);
 
-  /// Next whitespace-delimited token; `what` names it in the error
-  /// raised at end-of-input.
-  std::string token(const char* what);
+  /// Next whitespace-delimited token, valid while the reader lives;
+  /// `what` names it in the error raised at end-of-input.
+  std::string_view token(const char* what);
 
   /// token() that must equal `tag` exactly.
   void expect(const char* tag);
@@ -55,9 +66,10 @@ class TokenReader {
 
  private:
   /// `tok` as a finite double, or a parse error naming `what`.
-  double to_number(const std::string& tok, const char* what) const;
+  double to_number(std::string_view tok, const char* what) const;
 
-  std::istream& is_;
+  std::string text_;
+  std::size_t pos_ = 0;
   std::string source_;
   std::size_t line_ = 1;
 };

@@ -159,7 +159,7 @@ Checkpoint Checkpoint::open(const std::string& dir, const FlowConfig& cfg) {
     tr.expect("tmm-checkpoint");
     tr.integer_in("manifest version", kManifestVersion, kManifestVersion);
     tr.expect("fingerprint");
-    const std::string tok = tr.token("fingerprint value");
+    const std::string tok(tr.token("fingerprint value"));
     std::uint64_t have = 0;
     if (std::sscanf(tok.c_str(), "%" SCNx64, &have) != 1)
       tr.fail("malformed fingerprint '" + tok + "'");
@@ -285,9 +285,7 @@ std::optional<std::string> Checkpoint::load_result(
   if (!enabled()) return std::nullopt;
   std::ifstream in(result_path(design));
   if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
+  return io::read_rest(in);
 }
 
 void Checkpoint::save_result(const std::string& design,

@@ -102,7 +102,6 @@ class Design {
     return pin.gate == kInvalidId &&
            ports_[pin.port].dir == TopPortDir::kPrimaryOutput;
   }
-  bool is_port_pin(PinId p) const { return pins_.at(p).gate == kInvalidId; }
 
   /// The cell port backing a gate pin (requires pin.gate valid).
   const CellPort& cell_port(PinId p) const {

@@ -32,7 +32,7 @@ void write_pin_ref(util::TextOut& out, const Design& d, PinId pin) {
 /// source line and the offending value instead of crashing three
 /// layers down in Design::gate().
 PinId read_pin_ref(TokenReader& tr, const Design& d) {
-  const std::string kind = tr.token("pin reference kind");
+  const std::string kind(tr.token("pin reference kind"));
   if (kind == "p") {
     const std::uint32_t port = tr.u32("port index");
     if (port >= d.num_ports())
@@ -102,8 +102,8 @@ Design read_design(std::istream& is, const Library& lib, std::string source) {
   fault::inject("netlist.read");
   TokenReader tr(is, std::move(source));
   tr.expect("design");
-  const std::string name = tr.token("design name");
-  const std::string lib_name = tr.token("library name");
+  const std::string name(tr.token("design name"));
+  const std::string lib_name(tr.token("library name"));
   const std::size_t nports = tr.size_at_most("port count", kMaxRecords);
   const std::size_t ngates = tr.size_at_most("gate count", kMaxRecords);
   const std::size_t nnets = tr.size_at_most("net count", kMaxRecords);
@@ -113,8 +113,8 @@ Design read_design(std::istream& is, const Library& lib, std::string source) {
   Design d(name, &lib);
   for (std::size_t i = 0; i < nports; ++i) {
     tr.expect("port");
-    const std::string pname = tr.token("port name");
-    const std::string dir = tr.token("port direction");
+    const std::string pname(tr.token("port name"));
+    const std::string dir(tr.token("port direction"));
     if (dir != "in" && dir != "out")
       tr.fail("bad port direction '" + dir + "' (expected 'in' or 'out')");
     const int clk = tr.integer_in("clock flag", 0, 1);
@@ -124,8 +124,8 @@ Design read_design(std::istream& is, const Library& lib, std::string source) {
   }
   for (std::size_t i = 0; i < ngates; ++i) {
     tr.expect("gate");
-    const std::string gname = tr.token("gate name");
-    const std::string cname = tr.token("cell name");
+    const std::string gname(tr.token("gate name"));
+    const std::string cname(tr.token("cell name"));
     try {
       d.add_gate(gname, lib.cell_id(cname));
     } catch (const std::out_of_range&) {
@@ -134,7 +134,7 @@ Design read_design(std::istream& is, const Library& lib, std::string source) {
   }
   for (std::size_t i = 0; i < nnets; ++i) {
     tr.expect("net");
-    const std::string nname = tr.token("net name");
+    const std::string nname(tr.token("net name"));
     const PinId driver = read_pin_ref(tr, d);
     const double wire_cap = tr.number("wire capacitance");
     const std::size_t nsinks = tr.size_at_most("sink count", kMaxRecords);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "fault/token_reader.hpp"
 #include "macro/model_io.hpp"
 #include "util/atomic_io.hpp"
 
@@ -47,10 +47,16 @@ std::uint32_t crc_table_entry(std::uint32_t i) {
   return c;
 }
 
+/// Slice-by-8 tables: t[0] is the byte-wise table, and t[k][b] is the
+/// CRC of byte b followed by k zero bytes, so eight bytes fold in with
+/// eight independent lookups.
 struct CrcTable {
-  std::uint32_t t[256];
+  std::uint32_t t[8][256];
   CrcTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) t[i] = crc_table_entry(i);
+    for (std::uint32_t i = 0; i < 256; ++i) t[0][i] = crc_table_entry(i);
+    for (int k = 1; k < 8; ++k)
+      for (std::uint32_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
   }
 };
 
@@ -146,9 +152,18 @@ std::uint32_t append_group(const ElRf<Lut>& group, std::vector<TmbLut>& tabs,
 std::uint32_t crc32(const void* data, std::size_t size) noexcept {
   static const CrcTable table;
   const unsigned char* p = static_cast<const unsigned char*>(data);
+  const auto& t = table.t;
   std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i)
-    c = table.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    // Little-endian assembly from bytes: the same value on any host.
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -530,9 +545,7 @@ MacroModel read_tmb_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is)
     throw FlowError(ErrorCode::kIo, "serve.load_model", "cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return unpack_model(buf.str(), path);
+  return unpack_model(io::read_rest(is), path);
 }
 
 }  // namespace tmm::serve

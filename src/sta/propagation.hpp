@@ -112,7 +112,6 @@ class Sta {
   /// cached CSR schedule is captured as the worklist priority, so the
   /// graph must only be mutated through the delta_* API afterwards.
   void set_reference();
-  bool has_reference() const noexcept { return has_reference_; }
 
   /// Incremental re-analysis after a graph delta, under the SAME
   /// constraints the reference was built with. `dirty` must contain

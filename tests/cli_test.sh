@@ -155,6 +155,22 @@ test -s "$DIR/models/t1.tmb"
 "$TMM" pack "$DIR/block.macro"
 test -s "$DIR/block.tmb"
 
+# A malformed .macro is a runtime failure whose diagnostic names the
+# file and line, in pack, lint and evaluate alike; a missing one is an
+# [io] error.
+CORPUS="$(dirname "$0")/corpus"
+expect_rc 1 "$TMM" pack "$CORPUS/truncated.macro" --out "$DIR/trunc_macro.tmb" \
+  2> "$DIR/err_pack.txt"
+grep -q "\[parse\] .*truncated\.macro:4: expected node" "$DIR/err_pack.txt"
+test ! -e "$DIR/trunc_macro.tmb"
+expect_rc 1 "$TMM" lint "$CORPUS/truncated.macro" 2> "$DIR/err_lint.txt"
+grep -q "truncated\.macro:4" "$DIR/err_lint.txt"
+expect_rc 1 "$TMM" evaluate "$DIR/block.dsn" "$CORPUS/truncated.macro" \
+  2> "$DIR/err_eval.txt"
+grep -q "truncated\.macro:4" "$DIR/err_eval.txt"
+expect_rc 1 "$TMM" pack "$DIR/no_such.macro" 2> "$DIR/err_missing.txt"
+grep -q "\[io\] .*no_such\.macro" "$DIR/err_missing.txt"
+
 # Serving-artifact lint: packed images and the model directory are
 # clean; a truncated image is a finding (exit 3, S001); the concurrency
 # self-audit dumps the lock hierarchy and must report it acyclic.

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -112,6 +118,270 @@ TEST(TokenReader, EndOfInputNamesTheMissingField) {
     EXPECT_NE(std::string(e.what()).find("wire capacitance"),
               std::string::npos);
   }
+}
+
+// ---------------------------------------------------- reader exactness
+
+/// The reader before it buffered the stream and took from_chars: one
+/// character at a time through get(), then strtod/strtoull/strtol on a
+/// std::string per token. Every value and diagnostic of io::TokenReader
+/// must be this reader's.
+class LegacyReader {
+ public:
+  LegacyReader(std::istream& is, std::string source)
+      : is_(is), source_(std::move(source)) {}
+
+  std::string token(const char* what) {
+    int c = is_.get();
+    while (c != std::istream::traits_type::eof() &&
+           std::isspace(static_cast<unsigned char>(c))) {
+      if (c == '\n') ++line_;
+      c = is_.get();
+    }
+    if (c == std::istream::traits_type::eof())
+      fail(std::string("expected ") + what + ", got end of input");
+    std::string tok;
+    while (c != std::istream::traits_type::eof() &&
+           !std::isspace(static_cast<unsigned char>(c))) {
+      tok.push_back(static_cast<char>(c));
+      c = is_.get();
+    }
+    if (c != std::istream::traits_type::eof()) is_.unget();
+    return tok;
+  }
+  double number(const char* what) {
+    const std::string tok = token(what);
+    char* end = nullptr;
+    const double v = std::strtod(tok.c_str(), &end);
+    if (end == tok.c_str() || *end != '\0')
+      fail(std::string("expected a number for ") + what + ", got '" + tok +
+           "'");
+    if (!std::isfinite(v))
+      fail(std::string("non-finite value '") + tok + "' for " + what);
+    return v;
+  }
+  std::size_t size(const char* what) {
+    const std::string tok = token(what);
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+    if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0')
+      fail(std::string("expected a non-negative integer for ") + what +
+           ", got '" + tok + "'");
+    return static_cast<std::size_t>(v);
+  }
+  int integer_in(const char* what, int lo, int hi) {
+    const std::string tok = token(what);
+    char* end = nullptr;
+    const long v = std::strtol(tok.c_str(), &end, 10);
+    if (end == tok.c_str() || *end != '\0')
+      fail(std::string("expected an integer for ") + what + ", got '" + tok +
+           "'");
+    if (v < lo || v > hi)
+      fail(std::string("value ") + tok + " for " + what + " outside [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    return static_cast<int>(v);
+  }
+  std::size_t line() const { return line_; }
+
+ private:
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw fault::FlowError(fault::ErrorCode::kParse,
+                           source_ + ":" + std::to_string(line_), msg);
+  }
+
+  std::istream& is_;
+  std::string source_;
+  std::size_t line_ = 1;
+};
+
+enum class ReadOp { kToken, kNumber, kSize, kIntegerIn };
+
+/// One read as text: the token, the value's bits, or the error's code,
+/// source:line and message; then the reader's line.
+template <typename Reader>
+std::string read_once(Reader& r, ReadOp op) {
+  std::string out;
+  try {
+    switch (op) {
+      case ReadOp::kToken:
+        out = "token " + std::string(r.token("field"));
+        break;
+      case ReadOp::kNumber:
+        out = "bits " + std::to_string(std::bit_cast<std::uint64_t>(
+                            r.number("field")));
+        break;
+      case ReadOp::kSize:
+        out = "size " + std::to_string(r.size("field"));
+        break;
+      case ReadOp::kIntegerIn:
+        out = "int " + std::to_string(r.integer_in("field", -10, 1000));
+        break;
+    }
+  } catch (const fault::FlowError& e) {
+    out = "error " + std::to_string(static_cast<int>(e.code())) + " " +
+          e.stage() + " " + e.message();
+  }
+  return out + " @" + std::to_string(r.line());
+}
+
+/// Reads `text` with `op` through both readers, one token at a time up
+/// to and including the first error (end of input is one), and expects
+/// the same outcome at every step. Returns the number of reads.
+std::size_t expect_same_reads(const std::string& text, ReadOp op) {
+  std::istringstream legacy_in(text);
+  std::istringstream in(text);
+  LegacyReader legacy(legacy_in, "mem.txt");
+  io::TokenReader reader(in, "mem.txt");
+  for (std::size_t n = 1;; ++n) {
+    const std::string want = read_once(legacy, op);
+    const std::string got = read_once(reader, op);
+    EXPECT_EQ(got, want) << "read " << n << " of '" << text.substr(0, 80)
+                         << "'";
+    if (want.rfind("error", 0) == 0 || got != want) return n;
+  }
+}
+
+const ReadOp kAllReadOps[] = {ReadOp::kToken, ReadOp::kNumber, ReadOp::kSize,
+                              ReadOp::kIntegerIn};
+
+TEST(ReaderExactness, NumberSpellingsMatchStrtodAndStrtol) {
+  const char* spellings[] = {
+      "0x1.8p+1", "+1.5",     "-0",  "1e-310", "1e-400", "-1e-400",
+      "1e400",    "-1e400",   "inf", "-inf",   "nan",    "infinity",
+      "1.",       ".5",       "1e",  "0x",     "-",      "+",
+      "1.5x",     "1e+",      "00012", "99999999999999999999", "-1", "+7",
+      "18446744073709551615", "18446744073709551616", "-0x1p-1074",
+      "2.2250738585072011e-308", "4.9406564584124654e-324",
+      "1.7976931348623157e308",  "1.7976931348623159e308",
+      "0.1000000000000000055511151231257827021181583404541015625"};
+  for (const char* s : spellings)
+    for (const ReadOp op : kAllReadOps)
+      EXPECT_GE(expect_same_reads(s, op), 1u) << s;
+  // number_f: the float range check sees the same double.
+  for (const char* s : {"3.4028235e38", "3.4028236e38", "1e39", "+1e-46",
+                        "0x1p-149", "nan"}) {
+    std::istringstream legacy_in(s);
+    std::istringstream in(s);
+    LegacyReader legacy(legacy_in, "f.txt");
+    io::TokenReader reader(in, "f.txt");
+    std::string want;
+    std::string got;
+    try {
+      const auto v = static_cast<float>(legacy.number("w"));
+      want = std::isfinite(v) ? std::to_string(std::bit_cast<std::uint32_t>(v))
+                              : "non-finite value '" + std::string(s) +
+                                    "' for w";
+    } catch (const fault::FlowError& e) {
+      want = e.message();
+    }
+    try {
+      got = std::to_string(std::bit_cast<std::uint32_t>(reader.number_f("w")));
+    } catch (const fault::FlowError& e) {
+      got = e.message();
+    }
+    EXPECT_EQ(got, want) << s;
+  }
+}
+
+TEST(ReaderExactness, RandomDoublesInEveryPrintedFormMatchStrtod) {
+  std::mt19937_64 rng(0x7E4D);
+  std::string text;
+  char buf[64];
+  for (int i = 0; i < 4000; ++i) {
+    // Random bit patterns cover every exponent, denormals included;
+    // NaN and Inf patterns are refused by both readers alike.
+    std::uint64_t bits = rng();
+    if (i % 4 == 0) bits &= 0x800FFFFFFFFFFFFFull;  // denormal or zero
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    for (const char* fmt : {"%.9g", "%.17g", "%a"}) {
+      std::snprintf(buf, sizeof buf, fmt, v);
+      text += buf;
+      text += i % 7 == 0 ? '\n' : ' ';
+    }
+  }
+  EXPECT_GT(expect_same_reads(text, ReadOp::kNumber), 10000u);
+}
+
+TEST(ReaderExactness, LineNumbersAcrossCrLfTabsAndBlankRuns) {
+  std::string text = "1\r\n\t0x1p-3\r\n\r\n  +2\t\t3\n";
+  text += std::string(5000, '\n');
+  text += "\t \r\n\v\f-0 7e-400\r\n";
+  text += std::string(300, '\t') + "\n\n+0x1.8p1 4.5\r\n\r\n";
+  for (const ReadOp op : kAllReadOps)
+    EXPECT_GE(expect_same_reads(text, op), 1u);
+  // Every token reads as a number, so the last read is end of input.
+  EXPECT_EQ(expect_same_reads(text, ReadOp::kNumber), 9u);
+  EXPECT_EQ(expect_same_reads(text + "1.5x\n", ReadOp::kNumber), 9u);
+}
+
+TEST(ReaderExactness, CorpusDiagnosticsArePinned) {
+  struct Want {
+    const char* file;
+    const char* line;  ///< the ":<line>" after the path; "" for none
+    const char* message;
+  };
+  // Recorded from the reader before it took from_chars.
+  const Want wants[] = {
+      {"bad_count.dsn", ":1",
+       "implausible count 18446744073709551615 for port count (limit "
+       "100000000)"},
+      {"bad_header.dsn", ":1", "expected 'design', got 'desing'"},
+      {"bad_header.macro", ":1", "expected 'macro', got 'makro'"},
+      {"bad_role.macro", ":2", "value 9 for node role outside [0, 2]"},
+      {"big_ordinal.macro", ":3",
+       "PI ordinal 200000000 of node 'in0' is not below the node count 2"},
+      {"dangling_pin.dsn", ":5",
+       "dangling gate reference 7 (design has 1 gates)"},
+      {"dup_ordinal.macro", ":4", "duplicate PI ordinal 0 at node 'in1'"},
+      {"gap_ordinal.macro", ":4",
+       "PI ordinals skip 1 (2 ports declared, ordinals must be 0..1)"},
+      {"gcn_engine.gnn", ":1", "value 1 for engine kind outside [0, 0]"},
+      {"huge_dims.gnn", ":1", "header implies more than 16777216 parameters"},
+      {"huge_ordinal.macro", ":3",
+       "PO ordinal 4294967295 of node 'out0' is not below the node count 2"},
+      {"nan.macro", ":2", "non-finite value 'nan' for static load"},
+      {"nan_fields.dsn", ":5", "non-finite value 'nan' for wire capacitance"},
+      {"nan_weight.gnn", ":3", "non-finite value 'nan' for parameter value"},
+      {"truncated.dsn", ":4", "expected port, got end of input"},
+      {"truncated.gnn", ":4", "expected parameter value, got end of input"},
+      {"truncated.macro", ":4", "expected node, got end of input"},
+      {"unknown_cell.dsn", ":4",
+       "unknown cell 'MEGA_GATE_X9' in library 'tmm_nldm45'"},
+  };
+  const fs::path corpus(TMM_TEST_CORPUS_DIR);
+  std::size_t text_files = 0;
+  for (const auto& entry : fs::directory_iterator(corpus)) {
+    const std::string ext = entry.path().extension().string();
+    text_files += ext == ".dsn" || ext == ".macro" || ext == ".gnn";
+  }
+  EXPECT_EQ(text_files, std::size(wants)) << "a corpus file has no pin";
+  for (const Want& w : wants) {
+    const std::string path = (corpus / w.file).string();
+    const std::string ext = fs::path(path).extension().string();
+    try {
+      if (ext == ".dsn")
+        static_cast<void>(read_design_file(path, test::shared_library()));
+      else if (ext == ".macro")
+        static_cast<void>(read_macro_model_file(path));
+      else
+        static_cast<void>(load_gnn_file(path));
+      ADD_FAILURE() << w.file << ": expected FlowError";
+    } catch (const fault::FlowError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kParse) << w.file;
+      EXPECT_EQ(e.stage(), path + w.line) << w.file;
+      EXPECT_EQ(e.message(), w.message) << w.file;
+    }
+  }
+}
+
+TEST(TokenReader, ReadRestTakesTheWholeRestOfTheStream) {
+  const std::string big(200'000, 'x');
+  std::istringstream in("head " + big);
+  EXPECT_EQ(in.get(), 'h');
+  EXPECT_EQ(io::read_rest(in), "ead " + big);
+  EXPECT_TRUE(in.eof());
+  EXPECT_EQ(io::read_rest(in), "");
 }
 
 // --------------------------------------------------------- atomic writes

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <sstream>
 #include <string>
@@ -112,6 +114,35 @@ TEST(MergeParallel, ThreadCountsIdentical) {
   }
 }
 
+/// evaluate_accuracy of `d`'s fully merged ILM against its flat graph
+/// at `threads`. Fresh graphs per run: their lazy adjacency and
+/// topological-order caches start cold, as in the flow, so the parallel
+/// runs are the first to need them.
+AccuracyReport evaluate_merged(const Design& d,
+                               std::span<const BoundaryConstraints> sets,
+                               std::size_t threads, bool cppr) {
+  const TimingGraph flat = build_timing_graph(d);
+  IlmResult ilm = extract_ilm(build_timing_graph(d));
+  merge_insensitive_pins(ilm.graph,
+                         std::vector<bool>(ilm.graph.num_nodes(), false));
+  Sta::Options opt{.cppr = cppr};
+  // Small enough that one range's engines would run levels in parallel.
+  opt.parallel_min_nodes = 16;
+  opt.threads = threads;
+  return evaluate_accuracy(flat, ilm.graph, sets, opt);
+}
+
+void expect_same_report(const AccuracyReport& par,
+                        const AccuracyReport& serial) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(par.max_err_ps),
+            std::bit_cast<std::uint64_t>(serial.max_err_ps));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(par.avg_err_ps),
+            std::bit_cast<std::uint64_t>(serial.avg_err_ps));
+  EXPECT_EQ(par.constraint_sets, serial.constraint_sets);
+  EXPECT_EQ(par.compared_values, serial.compared_values);
+  EXPECT_EQ(par.structural_mismatches, serial.structural_mismatches);
+}
+
 TEST(EvaluateParallel, ThreadCountsBitIdentical) {
   const Design d = parallel_design(12);
   Rng rng(31);
@@ -119,34 +150,42 @@ TEST(EvaluateParallel, ThreadCountsBitIdentical) {
   for (int i = 0; i < 5; ++i)
     sets.push_back(random_constraints(d.primary_inputs().size(),
                                       d.primary_outputs().size(), {}, rng));
-  // Fresh graphs per run: their lazy adjacency and topological-order
-  // caches start cold, as in the flow, so the parallel runs are the
-  // first to need them.
-  auto evaluate_at = [&](std::size_t threads, bool cppr) {
-    const TimingGraph flat = build_timing_graph(d);
-    IlmResult ilm = extract_ilm(build_timing_graph(d));
-    merge_insensitive_pins(ilm.graph,
-                           std::vector<bool>(ilm.graph.num_nodes(), false));
-    Sta::Options opt{.cppr = cppr};
-    // Small enough that one range's engines would run levels in parallel.
-    opt.parallel_min_nodes = 16;
-    opt.threads = threads;
-    return evaluate_accuracy(flat, ilm.graph, sets, opt);
-  };
   for (const bool cppr : {true, false}) {
-    const AccuracyReport serial = evaluate_at(1, cppr);
+    const AccuracyReport serial = evaluate_merged(d, sets, 1, cppr);
     EXPECT_GT(serial.max_err_ps, 0.0);
     for (const std::size_t threads : {2, 4, 8}) {
-      const AccuracyReport par = evaluate_at(threads, cppr);
       SCOPED_TRACE("threads " + std::to_string(threads));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(par.max_err_ps),
-                std::bit_cast<std::uint64_t>(serial.max_err_ps));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(par.avg_err_ps),
-                std::bit_cast<std::uint64_t>(serial.avg_err_ps));
-      EXPECT_EQ(par.constraint_sets, serial.constraint_sets);
-      EXPECT_EQ(par.compared_values, serial.compared_values);
-      EXPECT_EQ(par.structural_mismatches, serial.structural_mismatches);
+      expect_same_report(evaluate_merged(d, sets, threads, cppr), serial);
     }
+  }
+}
+
+TEST(EvaluateParallel, MaxErrorInTheLastSetSurvivesEveryThreadCount) {
+  const Design d = parallel_design(12);
+  Rng rng(31);
+  std::vector<BoundaryConstraints> sets;
+  for (int i = 0; i < 6; ++i)
+    sets.push_back(random_constraints(d.primary_inputs().size(),
+                                      d.primary_outputs().size(), {}, rng));
+  // Move the set with the largest error to the end, so the maximum
+  // comes from the last range at every thread count.
+  std::vector<double> set_max;
+  for (const BoundaryConstraints& bc : sets)
+    set_max.push_back(evaluate_merged(d, {&bc, 1}, 1, true).max_err_ps);
+  const auto worst = std::max_element(set_max.begin(), set_max.end());
+  std::swap(sets[static_cast<std::size_t>(worst - set_max.begin())],
+            sets.back());
+  std::swap(*worst, set_max.back());
+  const std::span<const BoundaryConstraints> all(sets);
+  ASSERT_GT(set_max.back(),
+            evaluate_merged(d, all.first(5), 1, true).max_err_ps);
+  const AccuracyReport serial = evaluate_merged(d, all, 1, true);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.max_err_ps),
+            std::bit_cast<std::uint64_t>(set_max.back()));
+  // 2, 3, 4 and 6 threads end in a range of 3, 2, 2 and 1 sets.
+  for (const std::size_t threads : {2, 3, 4, 6}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_same_report(evaluate_merged(d, all, threads, true), serial);
   }
 }
 

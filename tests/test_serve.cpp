@@ -12,9 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -147,6 +149,37 @@ TEST(Tmb, FileRoundTripAndIoError) {
               static_cast<void>(serve::read_tmb_file(dir.str("missing.tmb")));
             }),
             fault::ErrorCode::kIo);
+}
+
+/// Byte-at-a-time CRC-32 (IEEE, reflected), bit by bit: the reference
+/// the table-driven serve::crc32 must equal.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, CheckValueAndEmptyBuffer) {
+  EXPECT_EQ(serve::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(serve::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
+  std::mt19937_64 rng(0xC4C);
+  std::vector<unsigned char> buf(256 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 256; ++len)
+      ASSERT_EQ(serve::crc32(buf.data() + off, len),
+                crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+  std::vector<unsigned char> big(3u << 20);
+  for (auto& b : big) b = static_cast<unsigned char>(rng() >> 56);
+  EXPECT_EQ(serve::crc32(big.data(), big.size()),
+            crc32_bitwise(big.data(), big.size()));
 }
 
 // ------------------------------------------------------------- registry

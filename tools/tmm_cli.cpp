@@ -560,9 +560,7 @@ int cmd_evaluate(const Args& args) {
   if (args.positional.size() < 2)
     throw std::runtime_error("evaluate: <in.dsn> <in.macro>");
   const Design d = load_design(args.positional[0]);
-  std::ifstream is(args.positional[1]);
-  if (!is) throw std::runtime_error("cannot open " + args.positional[1]);
-  const MacroModel model = read_macro_model(is);
+  const MacroModel model = read_macro_model_file(args.positional[1]);
   const TimingGraph flat = build_timing_graph(d);
   Rng rng(0xC11);
   std::vector<BoundaryConstraints> sets;
@@ -674,10 +672,7 @@ int cmd_lint(const Args& args) {
     } else if (has_suffix(path, ".tmb")) {
       report = analysis::lint_tmb_file(path);
     } else if (has_suffix(path, ".macro")) {
-      std::ifstream is(path);
-      if (!is) throw std::runtime_error("cannot open " + path);
-      const MacroModel model = read_macro_model(is);
-      report = analysis::lint_model(model);
+      report = analysis::lint_model(read_macro_model_file(path));
     } else if (frontend::is_frontend_path(path)) {
       // Frontend import lint: connectivity rules (F001-F004) against
       // source locations; when the netlist maps cleanly, the mapped
@@ -713,9 +708,7 @@ int cmd_pack(const Args& args) {
   if (!args.out.empty() && args.positional.size() > 1)
     throw UsageError("pack: --out is only valid with a single input");
   for (const std::string& path : args.positional) {
-    std::ifstream is(path);
-    if (!is) throw std::runtime_error("cannot open " + path);
-    const MacroModel model = read_macro_model(is);
+    const MacroModel model = read_macro_model_file(path);
     std::string out = args.out;
     if (out.empty()) {
       out = path;
